@@ -14,7 +14,7 @@ from .bautin import (
     predict_order,
     rescale_lambdas,
 )
-from .exactalg import MultiPoly, PolyU, PolyXY, Rational, rat, rat_str, solve_linear_exact
+from .exactalg import MultiPoly, Poly, PolyU, PolyXY, Rational, rat, rat_str, solve_linear_exact
 from .forms import (
     CASES,
     EIGHT_EXTERIOR,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MultiPoly, PolyU, RationalLike, rat
+from .exactalg import MultiPoly, Poly, RationalLike, rat
 from .forms import AnnulusCase
 
 
@@ -26,7 +26,7 @@ class IdealGenerators:
 
     a: Fraction
     b: Fraction
-    generators: tuple[MultiPoly, ...]
+    generators: tuple[Poly, ...]
 
     def __iter__(self):
         return iter(self.generators)
@@ -66,7 +66,7 @@ def predict_order(arc, case: AnnulusCase) -> int | float:
     gens = bautin_generators(case.a, case.b)
     best: int | float = math.inf
     for g in gens:
-        composed: PolyU = g.compose_series(list(arc.series))
+        composed: Poly = g.compose_series(list(arc.series))
         val = composed.valuation()
         if val is not None:
             best = min(best, val)
@@ -100,10 +100,10 @@ class MembershipError(ValueError):
 class NakayamaCertificate:
     """b0_i = sum_j (delta_ij + a_tilde_ij) b_j, exact through the cap."""
 
-    entries: tuple[tuple[MultiPoly, ...], ...]  # a_tilde, zero constant terms
+    entries: tuple[tuple[Poly, ...], ...]  # a_tilde, zero constant terms
     truncation_degree: int
 
-    def reconstruct(self, b: list[MultiPoly]) -> list[MultiPoly]:
+    def reconstruct(self, b: list[Poly]) -> list[Poly]:
         """Evaluate sum_j (delta_ij + a_tilde_ij) b_j, truncated at the cap."""
         k = len(b)
         out = []
@@ -119,7 +119,7 @@ def _grlex_key(e: tuple[int, ...]):
     return (sum(e), e)
 
 
-def _leading_monomial(p: MultiPoly) -> tuple[int, ...]:
+def _leading_monomial(p: Poly) -> tuple[int, ...]:
     return max(p.coeffs, key=_grlex_key)
 
 
@@ -127,9 +127,9 @@ def _divides(e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def _division(p: MultiPoly, gens: list[MultiPoly]) -> tuple[list[MultiPoly], MultiPoly]:
+def _division(p: Poly, gens: list[Poly]) -> tuple[list[Poly], Poly]:
     """Multivariate division with remainder (grlex leading terms)."""
-    nv = p.nvars
+    nv = len(p.vars)
     quot = [MultiPoly.zero(nv) for _ in gens]
     rem = MultiPoly.zero(nv)
     work = p
@@ -151,7 +151,7 @@ def _division(p: MultiPoly, gens: list[MultiPoly]) -> tuple[list[MultiPoly], Mul
 
 
 def nakayama_certify(
-    b: list[MultiPoly], b0: list[MultiPoly], degree_cap: int
+    b: list[Poly], b0: list[Poly], degree_cap: int
 ) -> NakayamaCertificate:
     """Certify that (b) and (b0) generate the same local ideal.
 
@@ -164,10 +164,10 @@ def nakayama_certify(
     if len(b) != len(b0) or not b:
         raise ValueError("b and b0 must be nonempty lists of equal length")
     k = len(b)
-    nv = b[0].nvars
+    nv = len(b[0].vars)
     zero = MultiPoly.zero(nv)
 
-    A: list[list[MultiPoly]] = []
+    A: list[list[Poly]] = []
     for i in range(k):
         tail = b[i] - b0[i]
         quot, rem = _division(tail, list(b0))
@@ -190,10 +190,10 @@ def nakayama_certify(
         A.append(quot)
 
     # S = sum_{m>=0} (-A)^m, truncated: entries of A^m have valuation >= m
-    S: list[list[MultiPoly]] = [
+    S: list[list[Poly]] = [
         [MultiPoly.const(nv, 1) if i == j else zero for j in range(k)] for i in range(k)
     ]
-    term: list[list[MultiPoly]] = [row[:] for row in S]
+    term: list[list[Poly]] = [row[:] for row in S]
     for _ in range(degree_cap):
         new = [[zero for _ in range(k)] for _ in range(k)]
         any_nonzero = False

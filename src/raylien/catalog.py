@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactalg import PolyU, PolyXY, compose_in_h
+from .exactalg import PolyU, PolyXY, substitute_h
 from .forms import (
     AnnulusCase,
     CanonicalDecomposition,
@@ -44,25 +44,12 @@ def _mono(i: int, j: int) -> OneForm:
     return OneForm(PolyXY.monomial(i, j))
 
 
-def _uv(pairs: dict[int, Fraction]) -> PolyU:
-    return PolyU(pairs, "H")
-
-
-def _poly_h(case: AnnulusCase, terms: dict[tuple[int, int, int], Fraction]) -> PolyXY:
-    """Build sum of c * H^e x^a y^b with H substituted for the given case."""
-    H = case.hamiltonian()
-    out = PolyXY.zero()
-    hp = [PolyXY.const(1)]
-    for (e, a, b), c in sorted(terms.items()):
-        while len(hp) <= e:
-            hp.append(hp[-1] * H)
-        out = out + (hp[e] * PolyXY.monomial(a, b)).scale(c)
-    return out
-
-
 def _entry(ident, case, form, u, v, r_terms, R_terms, family_k=None) -> CatalogEntry:
+    """u, v are {e: c} for polynomials in H; r_terms and R_terms are
+    {(e, a, b): c} for sums of c * H^e x^a y^b."""
+    H = case.hamiltonian()
     dec = CanonicalDecomposition(
-        u=_uv(u), v=_uv(v), r=_poly_h(case, r_terms), R=_poly_h(case, R_terms)
+        PolyU(u, "H"), PolyU(v, "H"), substitute_h(r_terms, H), substitute_h(R_terms, H)
     )
     return CatalogEntry(ident, case, form, dec, family_k)
 
@@ -119,12 +106,6 @@ def family_xky4(case: AnnulusCase, k: int) -> CatalogEntry:
         },
         family_k=k,
     )
-
-
-def _prefix(case: AnnulusCase) -> str:
-    return {"global-center": "gc", "truncated-pendulum": "tp", "eight-interior": "el"}[
-        case.name
-    ]
 
 
 def _global_center() -> list[CatalogEntry]:

@@ -18,18 +18,18 @@ import numpy as np
 from . import catalog
 from .bautin import MembershipError, bautin_generators, nakayama_certify
 from .elliptic import case_grid, periods_complex, periods_real, pf_residual
-from .exactalg import MultiPoly, PolyU, PolyXY, rat, rat_str
+from .exactalg import MultiPoly, Poly, PolyU, PolyXY, rat, rat_str
 from .forms import CASES, OneForm, get_case, reduce as reduce_form
 from .melnikov import AllVanishedReport, ParamArc, melnikov
-from .simulate import SimConfig, find_limit_cycles, poincare_return, section_range
+from .simulate import EscapeError, SimConfig, default_x_window, find_limit_cycles, poincare_return
 from .zeros import ContourSpec, VElement, count_zeros_real, winding_number_F
 
 
-def _poly_u_json(p: PolyU) -> list[str]:
+def _poly_u_json(p: Poly) -> list[str]:
     return [rat_str(c) for c in p.coeff_list()]
 
 
-def _poly_xy_json(p: PolyXY) -> dict[str, str]:
+def _poly_xy_json(p: Poly) -> dict[str, str]:
     return {f"{i},{j}": rat_str(c) for (i, j), c in sorted(p.coeffs.items())}
 
 
@@ -131,7 +131,7 @@ def _cmd_bautin(args) -> int:
     return 0
 
 
-def _parse_multipoly(nvars: int, terms) -> MultiPoly:
+def _parse_multipoly(nvars: int, terms) -> Poly:
     return MultiPoly(nvars, {tuple(e): rat(c) for e, c in terms})
 
 
@@ -193,7 +193,7 @@ def _cmd_periods(args) -> int:
 
 def _cmd_pfcheck(args) -> int:
     case = get_case(args.case)
-    if case.name not in ("eight-interior", "eight-exterior"):
+    if not case.eight_loop:
         print("pfcheck applies to the eight-loop annuli", file=sys.stderr)
         return 2
     hs = case_grid(case, args.grid)
@@ -241,10 +241,10 @@ def _cmd_zeros(args) -> int:
     return _run_argwind(e.p, e.q, args)
 
 
-def _run_argwind(p: PolyU, q: PolyU, args) -> int:
+def _run_argwind(p: Poly, q: Poly, args) -> int:
     e = VElement(p, q, CASES["eight-exterior"], basis="J")
     spec = ContourSpec(R=args.R, delta=args.delta)
-    winding, estimate = winding_number_F(e, spec, tol=args.tol)
+    winding, estimate = winding_number_F(e, spec)
     _emit(
         {
             "method": "argument-principle",
@@ -270,20 +270,17 @@ def _cmd_simulate(args) -> int:
     lam = tuple(float(c) for c in args.lam.split(","))
     cfg = SimConfig(case=case, lam=lam, eps=args.eps)
     if args.csv:
-        lo, hi = section_range(case)
-        if hi == float("inf"):
-            from .simulate import section_x_for_h
-
-            hi = section_x_for_h(case, 10.0)
-        span = hi - lo
-        xs = np.linspace(lo + 0.02 * span, hi - 0.02 * span, args.grid)
+        xs = np.linspace(*default_x_window(case), args.grid)
         print("x0,h,d,return_time")
+        escaped = 0
         for x0 in xs:
             try:
                 s = poincare_return(cfg, float(x0))
-            except Exception:
+            except EscapeError:
+                escaped += 1
                 continue
             print(f"{s.x0!r},{s.h!r},{s.d!r},{s.return_time!r}")
+        print(f"skipped {escaped} of {len(xs)} start points (escaped)", file=sys.stderr)
         return 0
     cycles = find_limit_cycles(cfg, grid=args.grid)
     _emit(
@@ -422,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="", help="qtilde coefficients c0,c1,c2")
     p.add_argument("--R", type=float, default=1e3)
     p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_argwind)
 

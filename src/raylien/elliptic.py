@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, AnnulusCase
+from .forms import EIGHT_EXTERIOR, AnnulusCase
 
 __all__ = [
     "PeriodValue",
@@ -73,7 +73,6 @@ class PeriodValue:
 class OvalGeometry:
     """x-extent of one real oval: y^2 > 0 strictly inside [x_lo, x_hi]."""
 
-    x_roots: tuple[float, ...]
     x_lo: float
     x_hi: float
 
@@ -82,23 +81,7 @@ def oval_geometry(case: AnnulusCase, h: float) -> OvalGeometry:
     """Integration segment of the case's oval at level h."""
     if not case.contains_h(h):
         raise ValueError(f"h={h} outside the {case.name} interval")
-    if case.name == "global-center":
-        # -1 + sqrt(1+4h), written to avoid cancellation at small h
-        xp = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 + 4.0 * h)))
-        return OvalGeometry((-xp, xp), -xp, xp)
-    if case.name == "truncated-pendulum":
-        # 1 - sqrt(1-4h) without cancellation
-        xm = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 - 4.0 * h)))
-        return OvalGeometry((-xm, xm), -xm, xm)
-    if case.name == "eight-interior":
-        s = math.sqrt(1.0 + 4.0 * h)
-        x1 = math.sqrt(-4.0 * h / (1.0 + s))  # 1 - s, stable for h near 0
-        x2 = math.sqrt(1.0 + s)
-        return OvalGeometry((x1, x2), x1, x2)  # right oval
-    if case.name == "eight-exterior":
-        xp = math.sqrt(1.0 + math.sqrt(1.0 + 4.0 * h))
-        return OvalGeometry((-xp, xp), -xp, xp)
-    raise KeyError(case.name)
+    return OvalGeometry(*case.oval_roots(h))
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +113,6 @@ def _ts_level(k: int):
     return _LEVEL_CACHE[k]
 
 
-def _y_on_nodes(
-    case: AnnulusCase, h: float, geo: OvalGeometry, xx: np.ndarray,
-    b_minus_x: np.ndarray, x_minus_a: np.ndarray,
-) -> np.ndarray:
-    """y(x) on quadrature nodes, via the factored y^2 (endpoint-stable).
-
-    The x-symmetric ovals are integrated over [0, x_hi]; their only root on
-    that segment is x_hi, handled through b_minus_x.  The eight-interior
-    right oval has roots at both segment ends.
-    """
-    name = case.name
-    B = geo.x_hi
-    if name == "global-center":
-        c = 1.0 + math.sqrt(1.0 + 4.0 * h)
-        y2 = 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
-    elif name == "truncated-pendulum":
-        c = 1.0 + math.sqrt(1.0 - 4.0 * h)
-        y2 = 0.5 * b_minus_x * (B + xx) * (c - xx * xx)
-    elif name == "eight-exterior":
-        c = 4.0 * h / (math.sqrt(1.0 + 4.0 * h) + 1.0)  # sqrt(1+4h) - 1
-        y2 = 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
-    elif name == "eight-interior":
-        A = geo.x_lo
-        y2 = 0.5 * x_minus_a * (xx + A) * b_minus_x * (geo.x_hi + xx)
-    else:
-        raise KeyError(name)
-    return np.sqrt(np.maximum(y2, 0.0))
-
-
 def periods_real(
     case: AnnulusCase,
     h: float,
@@ -171,15 +125,13 @@ def periods_real(
     Levels double until the largest relative change drops below tol; the
     last change is reported as est_error.  Symmetric ovals are folded onto
     [0, x_hi] so that the near-saddle peak of 1/y at x = 0 sits at a
-    segment endpoint, inside the double-exponential node cluster.
+    segment endpoint, inside the double-exponential node cluster.  y on
+    the nodes comes from the case's factored y^2 (endpoint-stable).
     """
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
     geo = oval_geometry(case, h)
-    if case.name == "eight-interior":
-        A, B, fold = geo.x_lo, geo.x_hi, 1.0
-    else:
-        A, B, fold = 0.0, geo.x_hi, 2.0
+    A, B, fold = (0.0 if case.fold == 2.0 else geo.x_lo), geo.x_hi, case.fold
     half = 0.5 * (B - A)
     mid = 0.5 * (B + A)
     prev = None
@@ -188,7 +140,7 @@ def periods_real(
         xx = mid + half * x
         bmx = half * om
         xma = half * op
-        y = _y_on_nodes(case, h, geo, xx, bmx, xma)
+        y = np.sqrt(np.maximum(case.y_squared(h, xx, bmx, xma, geo.x_lo, geo.x_hi), 0.0))
         x2 = xx * xx
         wy = w * y
         wovery = w / y
@@ -219,7 +171,7 @@ def periods_real(
 
 def pf_residual(case: AnnulusCase, h: float, tol: float = 1e-12) -> tuple[float, float]:
     """Scaled residuals of the two Picard-Fuchs identities (eight loop)."""
-    if case.name not in ("eight-interior", "eight-exterior"):
+    if not case.eight_loop:
         raise ValueError("the tabulated system applies to the eight-loop annuli")
     pv = periods_real(case, h, tol)
     scale = max(abs(pv.I0), abs(pv.I2), 1.0)
@@ -230,12 +182,9 @@ def pf_residual(case: AnnulusCase, h: float, tol: float = 1e-12) -> tuple[float,
 
 def case_grid(case: AnnulusCase, n: int) -> np.ndarray:
     """A log-graded probe grid strictly inside the case interval."""
-    if case.name == "global-center" or case.name == "eight-exterior":
+    if math.isinf(case.h_hi):
         return np.geomspace(1e-3, 1e3, n)
-    if case.name == "truncated-pendulum":
-        lo, hi = 0.0, 0.25
-    else:
-        lo, hi = -0.25, 0.0
+    lo, hi = case.h_lo, case.h_hi
     m = n // 2
     width = hi - lo
     from_lo = lo + np.geomspace(1e-5, 0.49, m) * width

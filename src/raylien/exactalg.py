@@ -2,28 +2,35 @@
 
 Every symbolic computation in the package runs over ``fractions.Fraction``
 (arbitrary precision, eagerly normalized, positive denominator), so results
-are exact and identity tests are reliable.  Three sparse polynomial flavours
-are provided:
+are exact and identity tests are reliable.
 
-* :class:`PolyU`   -- univariate, tagged with its variable name ('h', 'H', 'eps'),
-* :class:`PolyXY`  -- bivariate in the phase-plane variables (x, y),
-* :class:`MultiPoly` -- n-variate, used for ideals in the perturbation
-  parameters.
+One sparse polynomial type, :class:`Poly`, maps exponent tuples to
+coefficients and carries the names of its variables.  Thin constructors
+build its three uses: :class:`PolyU` (univariate in 'h', 'H' or 'eps'),
+:class:`PolyXY` (the phase-plane variables x, y) and :class:`MultiPoly`
+(the perturbation parameters l1..ln, for ideals).  :func:`substitute_h`
+turns formal terms c H^e x^a y^b into polynomials in (x, y).
 
-All polynomial values are immutable after construction and safe to share
-across threads.  Zero coefficients are never stored; the zero polynomial has
-an empty coefficient map and degree -1 (a finite stand-in for "minus
-infinity" that keeps comparisons simple).
+Polynomials are immutable after construction and safe to share across
+threads.  Zero coefficients are never stored; the zero polynomial has an
+empty coefficient map and degree -1 (a finite stand-in for "minus infinity"
+that keeps comparisons simple).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import lru_cache
+from operator import add
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+XY = ("x", "y")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -48,415 +55,189 @@ class VariableMismatchError(TypeError):
     """Raised when an operation mixes polynomials over different variables."""
 
 
-def _clean(coeffs: dict) -> dict:
-    return {k: c for k, c in coeffs.items() if c != 0}
+def _poly(coeffs: dict, vars: tuple[str, ...]) -> Poly:
+    """Wrap a clean {exponent tuple: nonzero Fraction} map without checks."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "vars", vars)
+    return p
 
 
-class PolyU:
-    """Sparse univariate polynomial over Fraction with a variable tag."""
+class Poly:
+    """Sparse polynomial over Fraction: {exponent tuple: coefficient}.
 
-    __slots__ = ("coeffs", "var")
+    ``vars`` names the variables; exponent tuples have one entry per name.
+    Coefficients are validated here, once; arithmetic results are built
+    from already-exact Fractions.
+    """
 
-    def __init__(self, coeffs: Mapping[int, RationalLike] | None = None, var: str = "h"):
+    __slots__ = ("coeffs", "vars")
+
+    def __init__(self, coeffs: Mapping[tuple[int, ...], RationalLike] | None, vars: Sequence[str]):
+        vars = tuple(vars)
         data = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative exponent")
-                c = rat(c)
-                if c != 0:
-                    data[int(k)] = c
+        for e, c in (coeffs or {}).items():
+            e = tuple(int(k) for k in e)
+            if len(e) != len(vars) or any(k < 0 for k in e):
+                raise ValueError(f"bad exponent tuple {e} for variables {vars}")
+            c = rat(c)
+            if c != 0:
+                data[e] = c
         object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "vars", vars)
 
     def __setattr__(self, *args):
-        raise AttributeError("PolyU is immutable")
-
-    @classmethod
-    def zero(cls, var: str = "h") -> PolyU:
-        return cls({}, var)
-
-    @classmethod
-    def const(cls, c: RationalLike, var: str = "h") -> PolyU:
-        return cls({0: rat(c)}, var)
-
-    @classmethod
-    def variable(cls, var: str = "h") -> PolyU:
-        return cls({1: Fraction(1)}, var)
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: Sequence[RationalLike], var: str = "h") -> PolyU:
-        """Build from [c0, c1, c2, ...] (ascending powers)."""
-        return cls({k: rat(c) for k, c in enumerate(coeffs)}, var)
-
-    def coeff_list(self) -> list[Fraction]:
-        """Coefficients [c0 .. c_deg]; empty list for the zero polynomial."""
-        if not self.coeffs:
-            return []
-        n = self.degree()
-        return [self.coeffs.get(k, Fraction(0)) for k in range(n + 1)]
+        raise AttributeError("Poly is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
+        """Total degree; -1 for the zero polynomial."""
+        return max(map(sum, self.coeffs)) if self.coeffs else -1
 
     def valuation(self) -> int | None:
-        """Smallest exponent with nonzero coefficient, None if zero."""
-        return min(self.coeffs) if self.coeffs else None
+        """Smallest total degree with a nonzero coefficient, None if zero."""
+        return min(map(sum, self.coeffs)) if self.coeffs else None
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+    def __getitem__(self, key: int | tuple[int, ...]) -> Fraction:
+        return self.coeffs.get(key if isinstance(key, tuple) else (key,), _ZERO)
 
-    def _check(self, other: PolyU):
-        if self.var != other.var:
-            raise VariableMismatchError(f"variable mismatch: {self.var} vs {other.var}")
+    def coeff_list(self) -> list[Fraction]:
+        """Univariate coefficients [c0 .. c_deg]; empty list for zero."""
+        return [self[k] for k in range(self.degree() + 1)]
 
-    def __add__(self, other: PolyU) -> PolyU:
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return PolyU(_clean(out), self.var)
+    def _check(self, other: Poly):
+        if self.vars != other.vars:
+            raise VariableMismatchError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __neg__(self) -> PolyU:
-        return PolyU({k: -c for k, c in self.coeffs.items()}, self.var)
-
-    def __sub__(self, other: PolyU) -> PolyU:
-        return self + (-other)
-
-    def __mul__(self, other: PolyU) -> PolyU:
-        self._check(other)
-        out: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return PolyU(_clean(out), self.var)
-
-    def scale(self, c: RationalLike) -> PolyU:
-        c = rat(c)
-        return PolyU({k: a * c for k, a in self.coeffs.items()}, self.var)
-
-    def __pow__(self, n: int) -> PolyU:
-        if n < 0:
-            raise ValueError("negative power")
-        out = PolyU.const(1, self.var)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def derivative(self) -> PolyU:
-        return PolyU({k - 1: k * c for k, c in self.coeffs.items() if k >= 1}, self.var)
-
-    def shift_var(self, var: str) -> PolyU:
-        """Same coefficients under a new variable tag (e.g. H -> h)."""
-        return PolyU(self.coeffs, var)
-
-    def __call__(self, x):
-        """Evaluate at x (Fraction, float, or complex) via Horner."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, Fraction) else Fraction(0)
-        n = self.degree()
-        acc = self.coeffs.get(n, Fraction(0))
-        if not isinstance(x, Fraction):
-            acc = float(acc) if not isinstance(x, complex) else complex(acc)
-        for k in range(n - 1, -1, -1):
-            c = self.coeffs.get(k, Fraction(0))
-            if not isinstance(x, Fraction):
-                c = float(c) if not isinstance(x, complex) else complex(c)
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyU) and self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.var, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            mono = "1" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
-            if k == 0:
-                parts.append(rat_str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{rat_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-class PolyXY:
-    """Sparse bivariate polynomial in (x, y) over Fraction."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], RationalLike] | None = None):
-        data = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent")
-                c = rat(c)
-                if c != 0:
-                    data[(int(i), int(j))] = c
-        object.__setattr__(self, "coeffs", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PolyXY is immutable")
-
-    @classmethod
-    def zero(cls) -> PolyXY:
-        return cls({})
-
-    @classmethod
-    def const(cls, c: RationalLike) -> PolyXY:
-        return cls({(0, 0): rat(c)})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: RationalLike = 1) -> PolyXY:
-        return cls({(i, j): rat(c)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def total_degree(self) -> int:
-        return max(i + j for i, j in self.coeffs) if self.coeffs else -1
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.coeffs.get(key, Fraction(0))
-
-    def __add__(self, other: PolyXY) -> PolyXY:
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return PolyXY(_clean(out))
-
-    def __neg__(self) -> PolyXY:
-        return PolyXY({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: PolyXY) -> PolyXY:
-        return self + (-other)
-
-    def __mul__(self, other: PolyXY) -> PolyXY:
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return PolyXY(_clean(out))
-
-    def scale(self, c: RationalLike) -> PolyXY:
-        c = rat(c)
-        return PolyXY({k: a * c for k, a in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> PolyXY:
-        if n < 0:
-            raise ValueError("negative power")
-        out = PolyXY.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def diff_x(self) -> PolyXY:
-        return PolyXY({(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i >= 1})
-
-    def diff_y(self) -> PolyXY:
-        return PolyXY({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j >= 1})
-
-    def integrate_y(self) -> PolyXY:
-        """Antiderivative in y with zero constant term."""
-        return PolyXY({(i, j + 1): c / (j + 1) for (i, j), c in self.coeffs.items()})
-
-    def __call__(self, x, y):
-        total = 0
-        for (i, j), c in self.coeffs.items():
-            total = total + (float(c) if not isinstance(x, Fraction) else c) * x**i * y**j
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyXY) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], k), reverse=True):
-            c = self.coeffs[(i, j)]
-            mono = "".join(
-                s
-                for s in (
-                    "" if i == 0 else ("x" if i == 1 else f"x^{i}"),
-                    "" if j == 0 else ("y" if j == 1 else f"y^{j}"),
-                )
-                if s
-            )
-            if not mono:
-                parts.append(rat_str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{rat_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-class MultiPoly:
-    """Sparse n-variate polynomial over Fraction (exponent-tuple keys)."""
-
-    __slots__ = ("coeffs", "nvars")
-
-    def __init__(self, nvars: int, coeffs: Mapping[tuple[int, ...], RationalLike] | None = None):
-        data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                e = tuple(int(k) for k in e)
-                if len(e) != nvars or any(k < 0 for k in e):
-                    raise ValueError(f"bad exponent tuple {e} for nvars={nvars}")
-                c = rat(c)
-                if c != 0:
-                    data[e] = c
-        object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "nvars", nvars)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MultiPoly is immutable")
-
-    @classmethod
-    def zero(cls, nvars: int) -> MultiPoly:
-        return cls(nvars, {})
-
-    @classmethod
-    def const(cls, nvars: int, c: RationalLike) -> MultiPoly:
-        return cls(nvars, {(0,) * nvars: rat(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> MultiPoly:
-        e = [0] * nvars
-        e[idx] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def linear_form(cls, coeffs: Sequence[RationalLike]) -> MultiPoly:
-        n = len(coeffs)
-        out = {}
-        for i, c in enumerate(coeffs):
-            c = rat(c)
-            if c != 0:
-                e = [0] * n
-                e[i] = 1
-                out[tuple(e)] = c
-        return cls(n, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def total_degree(self) -> int:
-        return max(sum(e) for e in self.coeffs) if self.coeffs else -1
-
-    def _check(self, other: MultiPoly):
-        if self.nvars != other.nvars:
-            raise VariableMismatchError("nvars mismatch")
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
+    def __add__(self, other: Poly) -> Poly:
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, _clean(out))
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            elif s := s + c:
+                out[e] = s
+            else:
+                del out[e]
+        return _poly(out, self.vars)
 
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
+    def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
-    def __mul__(self, other: MultiPoly) -> MultiPoly:
+    def __neg__(self) -> Poly:
+        return _poly({e: -c for e, c in self.coeffs.items()}, self.vars)
+
+    def __mul__(self, other: Poly) -> Poly:
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, a in self.coeffs.items():
             for e2, b in other.coeffs.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + a * b
-        return MultiPoly(self.nvars, _clean(out))
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                out[e] = a * b if s is None else s + a * b
+        return _poly({e: c for e, c in out.items() if c}, self.vars)
 
-    def scale(self, c: RationalLike) -> MultiPoly:
+    def scale(self, c: RationalLike) -> Poly:
         c = rat(c)
-        return MultiPoly(self.nvars, {e: a * c for e, a in self.coeffs.items()})
+        return _poly({e: a * c for e, a in self.coeffs.items()} if c else {}, self.vars)
 
-    def __pow__(self, n: int) -> MultiPoly:
+    def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.const(self.nvars, 1)
+        out = _poly({(0,) * len(self.vars): _ONE}, self.vars)
         for _ in range(n):
             out = out * self
         return out
 
-    def truncate(self, max_degree: int) -> MultiPoly:
-        """Drop all terms of total degree > max_degree."""
-        return MultiPoly(
-            self.nvars, {e: c for e, c in self.coeffs.items() if sum(e) <= max_degree}
+    def diff(self, var: str) -> Poly:
+        """Partial derivative in the named variable."""
+        i = self.vars.index(var)
+        return _poly(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c for e, c in self.coeffs.items() if e[i]},
+            self.vars,
         )
 
-    def min_degree(self) -> int | None:
-        """Smallest total degree present, None if zero."""
-        return min(sum(e) for e in self.coeffs) if self.coeffs else None
+    def integrate(self, var: str) -> Poly:
+        """Antiderivative in the named variable with zero constant term."""
+        i = self.vars.index(var)
+        return _poly(
+            {e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1) for e, c in self.coeffs.items()},
+            self.vars,
+        )
 
-    def compose_series(self, series: Sequence[PolyU]) -> PolyU:
-        """Substitute a univariate series for each variable (all same tag)."""
-        if len(series) != self.nvars:
+    def truncate(self, max_degree: int) -> Poly:
+        """Drop all terms of total degree > max_degree."""
+        return _poly({e: c for e, c in self.coeffs.items() if sum(e) <= max_degree}, self.vars)
+
+    def rename(self, *vars: str) -> Poly:
+        """Same coefficients under new variable names (e.g. H -> h)."""
+        if len(vars) != len(self.vars):
+            raise ValueError("wrong number of variable names")
+        return _poly(self.coeffs, vars)
+
+    def compose_series(self, series: Sequence[Poly]) -> Poly:
+        """Substitute series[i] for variable i (the series share variables)."""
+        if len(series) != len(self.vars):
             raise ValueError("wrong number of substitution series")
-        var = series[0].var
-        out = PolyU.zero(var)
+        vars = series[0].vars
+        one = (0,) * len(vars)
+        out = _poly({}, vars)
         for e, c in self.coeffs.items():
-            term = PolyU.const(c, var)
-            for idx, k in enumerate(e):
+            term = _poly({one: c}, vars)
+            for s, k in zip(series, e):
                 if k:
-                    term = term * (series[idx] ** k)
+                    term = term * (s**k)
             out = out + term
         return out
 
-    def __call__(self, values: Sequence[RationalLike]) -> Fraction:
-        vals = [rat(v) for v in values]
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            term = c
-            for v, k in zip(vals, e):
-                term *= v**k
-            total += term
-        return total
+    def __call__(self, point):
+        """Value at a point: a number in one variable, else a sequence.
+
+        Several variables take rational coordinates and are evaluated
+        exactly.  One variable is evaluated by Horner's rule: exactly at a
+        Fraction, else with the coefficients as floats (complex for a
+        complex argument).
+        """
+        if len(self.vars) != 1:
+            vals = [rat(v) for v in point]
+            if len(vals) != len(self.vars):
+                raise ValueError("wrong number of coordinates")
+            total = _ZERO
+            for e, c in self.coeffs.items():
+                for v, k in zip(vals, e):
+                    c *= v**k
+                total += c
+            return total
+        x = point
+        if isinstance(x, Fraction):
+            conv = Fraction
+        else:
+            conv = complex if isinstance(x, complex) else float
+        if not self.coeffs:
+            return _ZERO if conv is Fraction else 0 * x
+        acc = conv(self[self.degree()])
+        for k in range(self.degree() - 1, -1, -1):
+            acc = acc * x + conv(self[k])
+        return acc
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.vars == other.vars and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.coeffs.items()))))
+        return hash((self.vars, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        names = [f"l{i+1}" for i in range(self.nvars)]
+        # single-letter names juxtapose (x^2y); longer ones multiply (l2*l5^2)
+        sep = "" if all(len(v) == 1 for v in self.vars) else "*"
         parts = []
         for e in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
             c = self.coeffs[e]
-            mono = "*".join(
-                names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k
-            )
+            mono = sep.join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k)
             if not mono:
                 parts.append(rat_str(c))
             elif c == 1:
@@ -468,58 +249,111 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def hamiltonian_xy(a: RationalLike, b: RationalLike) -> PolyXY:
+class PolyU:
+    """Constructors of univariate polynomials; each returns a :class:`Poly`."""
+
+    def __new__(cls, coeffs: Mapping[int, RationalLike] | None = None, var: str = "h") -> Poly:
+        return Poly({(k,): c for k, c in (coeffs or {}).items()}, (var,))
+
+    @staticmethod
+    def zero(var: str = "h") -> Poly:
+        return _poly({}, (var,))
+
+    @staticmethod
+    def const(c: RationalLike, var: str = "h") -> Poly:
+        return Poly({(0,): c}, (var,))
+
+    @staticmethod
+    def variable(var: str = "h") -> Poly:
+        return _poly({(1,): _ONE}, (var,))
+
+    @staticmethod
+    def from_coeff_list(coeffs: Sequence[RationalLike], var: str = "h") -> Poly:
+        """Build from [c0, c1, c2, ...] (ascending powers)."""
+        return Poly({(k,): c for k, c in enumerate(coeffs)}, (var,))
+
+
+class PolyXY:
+    """Constructors of polynomials in (x, y); each returns a :class:`Poly`."""
+
+    def __new__(cls, coeffs: Mapping[tuple[int, int], RationalLike] | None = None) -> Poly:
+        return Poly(coeffs, XY)
+
+    @staticmethod
+    def zero() -> Poly:
+        return _poly({}, XY)
+
+    @staticmethod
+    def const(c: RationalLike) -> Poly:
+        return Poly({(0, 0): c}, XY)
+
+    @staticmethod
+    def monomial(i: int, j: int, c: RationalLike = 1) -> Poly:
+        return Poly({(i, j): c}, XY)
+
+
+@lru_cache(maxsize=None)
+def _lambda_names(nvars: int) -> tuple[str, ...]:
+    return tuple(f"l{i+1}" for i in range(nvars))
+
+
+class MultiPoly:
+    """Constructors of polynomials in l1..ln; each returns a :class:`Poly`."""
+
+    def __new__(cls, nvars: int, coeffs: Mapping[tuple[int, ...], RationalLike] | None = None) -> Poly:
+        return Poly(coeffs, _lambda_names(nvars))
+
+    @staticmethod
+    def zero(nvars: int) -> Poly:
+        return _poly({}, _lambda_names(nvars))
+
+    @staticmethod
+    def const(nvars: int, c: RationalLike) -> Poly:
+        return Poly({(0,) * nvars: c}, _lambda_names(nvars))
+
+    @staticmethod
+    def variable(nvars: int, idx: int) -> Poly:
+        return _poly({tuple(int(i == idx) for i in range(nvars)): _ONE}, _lambda_names(nvars))
+
+
+def hamiltonian_xy(a: RationalLike, b: RationalLike) -> Poly:
     """H(x, y) = y^2/2 + (a/2) x^2 + (b/4) x^4 as an exact polynomial."""
     return PolyXY({(0, 2): Fraction(1, 2), (2, 0): rat(a) / 2, (4, 0): rat(b) / 4})
 
 
-def compose_in_h(pu: PolyU, h_poly: PolyXY) -> PolyXY:
-    """Substitute a bivariate polynomial for the variable of ``pu``."""
-    out = PolyXY.zero()
-    power = PolyXY.const(1)
-    prev = 0
-    for k in sorted(pu.coeffs):
-        for _ in range(k - prev):
-            power = power * h_poly
-        prev = k
-        out = out + power.scale(pu.coeffs[k])
+def substitute_h(terms: Mapping[tuple[int, int, int], Fraction], H: Poly) -> Poly:
+    """The polynomial sum of c * H^e x^a y^b over terms {(e, a, b): c}.
+
+    ``H`` is a polynomial in (x, y) and the coefficients are Fractions.  The
+    terms are grouped by their power of H and summed by Horner's rule in H.
+    """
+    by_power: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (e, a, b), c in terms.items():
+        if c:
+            by_power.setdefault(e, {})[(a, b)] = c
+    if not by_power:
+        return _poly({}, H.vars)
+    top = max(by_power)
+    out = _poly(by_power[top], H.vars)
+    for e in range(top - 1, -1, -1):
+        out = out * H
+        if e in by_power:
+            out = out + _poly(by_power[e], H.vars)
     return out
 
 
-def poly_arith(op: str, lhs, rhs=None):
-    """Dispatch-style polynomial arithmetic (add / mul / scale / compose_H).
-
-    Thin named wrapper over the operator methods; compose_H expects
-    ``lhs`` univariate over 'H' and ``rhs`` the Hamiltonian as a PolyXY.
-    """
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "scale":
-        return lhs.scale(rhs)
-    if op == "compose_H":
-        if not isinstance(lhs, PolyU) or lhs.var != "H":
-            raise VariableMismatchError("compose_H needs a PolyU over 'H'")
-        if not isinstance(rhs, PolyXY):
-            raise VariableMismatchError("compose_H needs the Hamiltonian as PolyXY")
-        return compose_in_h(lhs, rhs)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def solve_linear_exact(
+def row_reduce(
     rows: Sequence[Sequence[RationalLike]],
     rhs: Sequence[RationalLike],
     column_order: Sequence[int] | None = None,
-) -> list[Fraction] | None:
-    """Solve A x = b exactly over the rationals.
+) -> tuple[list[list[Fraction]], list[Fraction], list[tuple[int, int]]]:
+    """Reduced row echelon form of the augmented system [A | b].
 
-    Gaussian elimination with a deterministic pivot rule: columns are
-    visited in ``column_order`` (identity by default, callers pass a
-    graded-lex order over their unknowns), the pivot row is the first
-    remaining row with a nonzero entry, and free variables are set to
-    zero.  Returns one exact solution or None when the system is
-    inconsistent.  The result always satisfies A x - b = 0 exactly.
+    Deterministic pivot rule: columns are visited in ``column_order``
+    (identity by default), the pivot row is the first remaining row with a
+    nonzero entry, and it is swapped into place.  Returns the reduced rows,
+    the reduced right-hand side, and the pivots as (row, column) pairs;
+    rows after the last pivot are zero in A.
     """
     m = len(rows)
     a = [[rat(c) for c in row] for row in rows]
@@ -527,9 +361,8 @@ def solve_linear_exact(
     if len(b) != m:
         raise ValueError("rhs length mismatch")
     n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
+    if any(len(row) != n for row in a):
+        raise ValueError("ragged matrix")
     order = list(column_order) if column_order is not None else list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("column_order must be a permutation")
@@ -537,6 +370,8 @@ def solve_linear_exact(
     pivots: list[tuple[int, int]] = []
     row_at = 0
     for col in order:
+        if row_at == m:
+            break
         piv = None
         for r in range(row_at, m):
             if a[r][col] != 0:
@@ -556,14 +391,26 @@ def solve_linear_exact(
                 b[r] -= f * b[row_at]
         pivots.append((row_at, col))
         row_at += 1
-        if row_at == m:
-            break
+    return a, b, pivots
 
-    for r in range(row_at, m):
-        if b[r] != 0:
-            return None
 
-    x = [Fraction(0)] * n
+def solve_linear_exact(
+    rows: Sequence[Sequence[RationalLike]],
+    rhs: Sequence[RationalLike],
+    column_order: Sequence[int] | None = None,
+) -> list[Fraction] | None:
+    """Solve A x = b exactly over the rationals.
+
+    Gaussian elimination with the deterministic pivot rule of
+    :func:`row_reduce` (callers pass a graded-lex order over their unknowns
+    as ``column_order``); free variables are set to zero.  Returns one exact
+    solution or None when the system is inconsistent.  The result always
+    satisfies A x - b = 0 exactly.
+    """
+    a, b, pivots = row_reduce(rows, rhs, column_order)
+    if any(b[r] != 0 for r in range(len(pivots), len(b))):
+        return None
+    x = [_ZERO] * (len(a[0]) if a else 0)
     for r, col in pivots:
         x[col] = b[r]
     return x

@@ -30,17 +30,18 @@ recursion, whose forms always have a+b odd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .exactalg import (
+    Poly,
     PolyU,
     PolyXY,
     RationalLike,
-    compose_in_h,
     hamiltonian_xy,
-    rat,
     solve_linear_exact,
+    substitute_h,
 )
 
 
@@ -52,9 +53,14 @@ class DecompositionError(ValueError):
 class AnnulusCase:
     """One period annulus of the unperturbed system.
 
-    (a, b) fixes the Hamiltonian sign case; the open h-interval and the
-    zero-count ceiling are carried for the numerical modules only (the
-    symbolic reduction depends on (a, b) alone).
+    (a, b) fixes the Hamiltonian sign case, the only input of the symbolic
+    reduction.  The rest serves the numerical modules: the open h-interval
+    (h_lo, h_hi) and the zero-count ceiling; ``oval_roots(h)``, the x-extent
+    (x_lo, x_hi) of the level-h oval; ``y_squared(h, x, x_hi - x, x - x_lo,
+    x_lo, x_hi)``, y^2 factored through the root offsets so that it stays
+    accurate at the segment ends; ``fold``, 2.0 for an x-symmetric oval
+    (integrated over [0, x_hi] and doubled), else 1.0; ``section_range``,
+    the open x-interval of the section {y = 0} transversal to the annulus.
     """
 
     name: str
@@ -63,21 +69,87 @@ class AnnulusCase:
     h_lo: float
     h_hi: float
     zero_bound: int
+    oval_roots: Callable[[float], tuple[float, float]] = field(compare=False)
+    y_squared: Callable = field(compare=False)
+    fold: float
+    section_range: tuple[float, float]
 
-    def hamiltonian(self) -> PolyXY:
+    def hamiltonian(self) -> Poly:
         return hamiltonian_xy(self.a, self.b)
 
     def contains_h(self, h: float) -> bool:
         return self.h_lo < h < self.h_hi
 
+    @property
+    def eight_loop(self) -> bool:
+        """True on the eight-loop annuli, where the Picard-Fuchs system
+        3 I0 = 4h J0 + J2, 15 I2 = 4h J0 + (12h+4) J2 holds."""
+        return (self.a, self.b) == (-1, 1)
+
     def __repr__(self) -> str:
         return f"AnnulusCase({self.name})"
 
 
-GLOBAL_CENTER = AnnulusCase("global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5)
-TRUNCATED_PENDULUM = AnnulusCase("truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5)
-EIGHT_INTERIOR = AnnulusCase("eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5)
-EIGHT_EXTERIOR = AnnulusCase("eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6)
+def _center_roots(h):
+    # -1 + sqrt(1+4h), written to avoid cancellation at small h
+    xp = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 + 4.0 * h)))
+    return -xp, xp
+
+
+def _center_y2(h, xx, b_minus_x, x_minus_a, A, B):
+    c = 1.0 + math.sqrt(1.0 + 4.0 * h)
+    return 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
+
+
+def _pendulum_roots(h):
+    # 1 - sqrt(1-4h) without cancellation
+    xm = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 - 4.0 * h)))
+    return -xm, xm
+
+
+def _pendulum_y2(h, xx, b_minus_x, x_minus_a, A, B):
+    c = 1.0 + math.sqrt(1.0 - 4.0 * h)
+    return 0.5 * b_minus_x * (B + xx) * (c - xx * xx)
+
+
+def _interior_roots(h):
+    s = math.sqrt(1.0 + 4.0 * h)
+    x1 = math.sqrt(-4.0 * h / (1.0 + s))  # 1 - s, stable for h near 0
+    x2 = math.sqrt(1.0 + s)
+    return x1, x2  # right oval
+
+
+def _interior_y2(h, xx, b_minus_x, x_minus_a, A, B):
+    # roots at both segment ends
+    return 0.5 * x_minus_a * (xx + A) * b_minus_x * (B + xx)
+
+
+def _exterior_roots(h):
+    xp = math.sqrt(1.0 + math.sqrt(1.0 + 4.0 * h))
+    return -xp, xp
+
+
+def _exterior_y2(h, xx, b_minus_x, x_minus_a, A, B):
+    c = 4.0 * h / (math.sqrt(1.0 + 4.0 * h) + 1.0)  # sqrt(1+4h) - 1
+    return 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
+
+
+GLOBAL_CENTER = AnnulusCase(
+    "global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5,
+    _center_roots, _center_y2, 2.0, (0.0, math.inf),
+)
+TRUNCATED_PENDULUM = AnnulusCase(
+    "truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5,
+    _pendulum_roots, _pendulum_y2, 2.0, (0.0, 1.0),
+)
+EIGHT_INTERIOR = AnnulusCase(
+    "eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5,
+    _interior_roots, _interior_y2, 1.0, (1.0, math.sqrt(2.0)),
+)
+EIGHT_EXTERIOR = AnnulusCase(
+    "eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6,
+    _exterior_roots, _exterior_y2, 2.0, (math.sqrt(2.0), math.inf),
+)
 
 CASES: dict[str, AnnulusCase] = {
     c.name: c
@@ -100,7 +172,7 @@ class OneForm:
 
     __slots__ = ("P", "Q")
 
-    def __init__(self, P: PolyXY | None = None, Q: PolyXY | None = None):
+    def __init__(self, P: Poly | None = None, Q: Poly | None = None):
         object.__setattr__(self, "P", P if P is not None else PolyXY.zero())
         object.__setattr__(self, "Q", Q if Q is not None else PolyXY.zero())
 
@@ -115,7 +187,7 @@ class OneForm:
         return self.P.is_zero() and self.Q.is_zero()
 
     def degree(self) -> int:
-        return max(self.P.total_degree(), self.Q.total_degree())
+        return max(self.P.degree(), self.Q.degree())
 
     def __add__(self, other: OneForm) -> OneForm:
         return OneForm(self.P + other.P, self.Q + other.Q)
@@ -123,19 +195,12 @@ class OneForm:
     def __sub__(self, other: OneForm) -> OneForm:
         return OneForm(self.P - other.P, self.Q - other.Q)
 
-    def __neg__(self) -> OneForm:
-        return OneForm(-self.P, -self.Q)
-
     def scale(self, c: RationalLike) -> OneForm:
         return OneForm(self.P.scale(c), self.Q.scale(c))
 
-    def mul_poly(self, g: PolyXY) -> OneForm:
+    def mul_poly(self, g: Poly) -> OneForm:
         """g * omega for a polynomial factor g."""
         return OneForm(g * self.P, g * self.Q)
-
-    def is_closed(self) -> bool:
-        """dP/dy == dQ/dx; on the plane closed == exact."""
-        return self.P.diff_y() == self.Q.diff_x()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OneForm) and self.P == other.P and self.Q == other.Q
@@ -144,52 +209,40 @@ class OneForm:
         return f"({self.P}) dx + ({self.Q}) dy"
 
 
-def exterior_derivative(f: PolyXY) -> OneForm:
+def exterior_derivative(f: Poly) -> OneForm:
     """df = f_x dx + f_y dy."""
-    return OneForm(f.diff_x(), f.diff_y())
+    return OneForm(f.diff("x"), f.diff("y"))
 
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     """The quadruple (u, v, r, R) of a reduced one-form."""
 
-    u: PolyU  # coefficient of x^2 y dx, polynomial in H
-    v: PolyU  # coefficient of y dx, polynomial in H
-    r: PolyXY
-    R: PolyXY
+    u: Poly  # coefficient of x^2 y dx, polynomial in H
+    v: Poly  # coefficient of y dx, polynomial in H
+    r: Poly
+    R: Poly
 
     def uv_is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
 
 
-def perturbation_form(lambdas: list[RationalLike], case: AnnulusCase | None = None) -> OneForm:
-    """(l1 + l2 x^2 + l3 y^2 + l4 x^4 + l5 y^4 + l6 x^6) y dx.
-
-    Independent of the case; the parameter is accepted for interface
-    symmetry with the reduction routines.
-    """
+def perturbation_form(lambdas: list[RationalLike]) -> OneForm:
+    """(l1 + l2 x^2 + l3 y^2 + l4 x^4 + l5 y^4 + l6 x^6) y dx (the same in every case)."""
     if len(lambdas) != 6:
         raise ValueError("expected 6 coefficients")
-    l1, l2, l3, l4, l5, l6 = (rat(c) for c in lambdas)
-    P = PolyXY(
-        {
-            (0, 1): l1,
-            (2, 1): l2,
-            (0, 3): l3,
-            (4, 1): l4,
-            (0, 5): l5,
-            (6, 1): l6,
-        }
-    )
-    return OneForm(P, PolyXY.zero())
+    monomials = ((0, 1), (2, 1), (0, 3), (4, 1), (0, 5), (6, 1))
+    return OneForm(PolyXY(dict(zip(monomials, lambdas))))
 
 
 def verify_decomposition(omega: OneForm, d: CanonicalDecomposition, case: AnnulusCase) -> bool:
     """Exact check of omega == (u(H) x^2 + v(H)) y dx + r dH + dR."""
     H = case.hamiltonian()
-    main = compose_in_h(d.u, H) * PolyXY.monomial(2, 1) + compose_in_h(d.v, H) * PolyXY.monomial(0, 1)
+    terms = {(e, 2, 1): c for (e,), c in d.u.coeffs.items()}
+    terms.update({(e, 0, 1): c for (e,), c in d.v.coeffs.items()})
+    main = substitute_h(terms, H)
     dH = exterior_derivative(H)
-    rebuilt = OneForm(main, PolyXY.zero()) + dH.mul_poly(d.r) + exterior_derivative(d.R)
+    rebuilt = OneForm(main) + dH.mul_poly(d.r) + exterior_derivative(d.R)
     return (omega - rebuilt).is_zero()
 
 
@@ -227,20 +280,6 @@ def _bump(d: dict[Key, Fraction], key: Key, c: Fraction):
             d[key] = cur
 
 
-def _substitute_h(terms: dict[Key, Fraction], H: PolyXY) -> PolyXY:
-    out = PolyXY.zero()
-    powers: dict[int, PolyXY] = {0: PolyXY.const(1)}
-
-    def h_pow(e: int) -> PolyXY:
-        if e not in powers:
-            powers[e] = h_pow(e - 1) * H
-        return powers[e]
-
-    for (e, a, b), c in terms.items():
-        out = out + (h_pow(e) * PolyXY.monomial(a, b)).scale(c)
-    return out
-
-
 def _reduce_rewrite(omega: OneForm, case: AnnulusCase) -> CanonicalDecomposition:
     alpha, beta = case.a, case.b
     H = case.hamiltonian()
@@ -249,10 +288,10 @@ def _reduce_rewrite(omega: OneForm, case: AnnulusCase) -> CanonicalDecomposition
     R_acc: dict[Key, Fraction] = {}
 
     # Q dy = d(int_y Q) - (d/dx int_y Q) dx
-    Ry = omega.Q.integrate_y()
+    Ry = omega.Q.integrate("y")
     for (i, j), c in Ry.coeffs.items():
         _bump(R_acc, (0, i, j), c)
-    P = omega.P - Ry.diff_x()
+    P = omega.P - Ry.diff("x")
 
     pending: dict[Key, Fraction] = {}
     for (i, j), c in P.coeffs.items():
@@ -310,8 +349,8 @@ def _reduce_rewrite(omega: OneForm, case: AnnulusCase) -> CanonicalDecomposition
     return CanonicalDecomposition(
         u=PolyU(u, "H"),
         v=PolyU(v, "H"),
-        r=_substitute_h(r_acc, H),
-        R=_substitute_h(R_acc, H),
+        r=substitute_h(r_acc, H),
+        R=substitute_h(R_acc, H),
     )
 
 
@@ -357,15 +396,10 @@ def _reduce_ansatz(
         row = rows.setdefault((comp, mono), {})
         row[col] = row.get(col, Fraction(0)) + coeff
 
-    Hpow = [PolyXY.const(1)]
-    for _ in range(deg_uv):
-        Hpow.append(Hpow[-1] * H)
-
-    for k in range(deg_uv + 1):
-        for (i, j), c in (Hpow[k] * PolyXY.monomial(2, 1)).coeffs.items():
-            add("P", (i, j), index[("u", (k,))], c)
-        for (i, j), c in (Hpow[k] * PolyXY.monomial(0, 1)).coeffs.items():
-            add("P", (i, j), index[("v", (k,))], c)
+    for k in range(deg_uv + 1):  # u_k: H^k x^2 y dx, v_k: H^k y dx
+        for name, a, b in (("u", 2, 1), ("v", 0, 1)):
+            for mono, c in substitute_h({(k, a, b): Fraction(1)}, H).coeffs.items():
+                add("P", mono, index[(name, (k,))], c)
     for (ri, rj) in r_keys:
         col = index[("r", (ri, rj))]
         for (i, j), c in dH.P.coeffs.items():

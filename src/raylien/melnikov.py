@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactalg import PolyU, PolyXY, RationalLike, rat, solve_linear_exact
+from .exactalg import Poly, PolyU, PolyXY, RationalLike, rat, row_reduce, solve_linear_exact
 from .forms import (
     AnnulusCase,
     CanonicalDecomposition,
@@ -36,14 +36,14 @@ from .forms import (
 class ParamArc:
     """Six truncated power series lambda_j(eps), each with lambda_j(0) = 0."""
 
-    series: tuple[PolyU, ...]
+    series: tuple[Poly, ...]
     truncation_order: int
 
     def __post_init__(self):
         if len(self.series) != 6:
             raise ValueError("an arc needs exactly 6 series")
         for s in self.series:
-            if s.var != "eps":
+            if s.vars != ("eps",):
                 raise ValueError("arc series must be polynomials in 'eps'")
             if s[0] != 0:
                 raise ValueError("arcs must pass through the unperturbed system")
@@ -83,9 +83,9 @@ class MelnikovResult:
     """First nonvanishing order n with M_n = p(h) I2(h) + q(h) I0(h)."""
 
     order: int
-    p: PolyU
-    q: PolyU
-    trail: tuple[tuple[PolyU, PolyU, PolyXY], ...]  # (u_k, v_k, r_k) for k < order
+    p: Poly
+    q: Poly
+    trail: tuple[tuple[Poly, Poly, Poly], ...]  # (u_k, v_k, r_k) for k < order
 
     def __post_init__(self):
         if self.p.is_zero() and self.q.is_zero():
@@ -104,7 +104,7 @@ class AllVanishedReport:
 
     max_order: int
     arc_is_zero: bool
-    trail: tuple[tuple[PolyU, PolyU, PolyXY], ...]
+    trail: tuple[tuple[Poly, Poly, Poly], ...]
 
 
 def melnikov(
@@ -123,8 +123,8 @@ def melnikov(
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     omegas = {k: arc.order_form(k) for k in range(1, max_order + 1)}
-    rs: dict[int, PolyXY] = {}
-    trail: list[tuple[PolyU, PolyU, PolyXY]] = []
+    rs: dict[int, Poly] = {}
+    trail: list[tuple[Poly, Poly, Poly]] = []
 
     for k in range(1, max_order + 1):
         Omega = omegas[k]
@@ -136,8 +136,8 @@ def melnikov(
         if not dec.uv_is_zero():
             return MelnikovResult(
                 order=k,
-                p=dec.u.shift_var("h"),
-                q=dec.v.shift_var("h"),
+                p=dec.u.rename("h"),
+                q=dec.v.rename("h"),
                 trail=tuple(trail),
             )
         rs[k] = dec.r
@@ -148,7 +148,7 @@ def melnikov(
     )
 
 
-def first_order_pair(case: AnnulusCase, j: int) -> tuple[PolyU, PolyU]:
+def first_order_pair(case: AnnulusCase, j: int) -> tuple[Poly, Poly]:
     """(p, q) of the order-1 Melnikov function of the basis arc lambda_j = eps."""
     coeffs = [0] * 6
     coeffs[j - 1] = 1
@@ -182,6 +182,16 @@ class LinearForm:
         return s[2:] if s.startswith("+ ") else s
 
 
+# column order (l1, l2, l4, l5, l6, l3): the center direction l3 stays free
+_ORDER1_COLUMNS = [0, 1, 3, 4, 5, 2]
+
+
+def _order1_rows(case: AnnulusCase) -> list[list[Fraction]]:
+    """M_1 coefficients of h^0, h^1 in p and h^0, h^1, h^2 in q, over l1..l6."""
+    pairs = [first_order_pair(case, j) for j in range(1, 7)]
+    return [[p[k] for p, _ in pairs] for k in range(2)] + [[q[k] for _, q in pairs] for k in range(3)]
+
+
 def center_conditions_order1(case: AnnulusCase) -> list[LinearForm]:
     """The five linear conditions equivalent to M_1 == 0.
 
@@ -190,40 +200,10 @@ def center_conditions_order1(case: AnnulusCase) -> list[LinearForm]:
     row-reduced with lambda_3 kept as the free direction, which yields the
     conventional presentation (l1, l2 +- 3 l3, l4 +- 3 l3, l5, l6).
     """
-    cols: list[list[Fraction]] = []  # per basis vector: coefficient stacks
-    max_dp = max_dq = 0
-    pairs = []
-    for j in range(1, 7):
-        p, q = first_order_pair(case, j)
-        pairs.append((p, q))
-        max_dp = max(max_dp, p.degree())
-        max_dq = max(max_dq, q.degree())
-    mat: list[list[Fraction]] = []
-    for k in range(max_dp + 1):
-        mat.append([pairs[j][0][k] for j in range(6)])
-    for k in range(max_dq + 1):
-        mat.append([pairs[j][1][k] for j in range(6)])
-
-    # row reduce with column order (l1, l2, l4, l5, l6, l3): l3 stays free
-    order = [0, 1, 3, 4, 5, 2]
-    used: set[int] = set()
-    pivots: list[tuple[int, int]] = []  # (column, row index)
-    for col in order:
-        pr = next((ri for ri, row in enumerate(mat) if ri not in used and row[col] != 0), None)
-        if pr is None:
-            continue
-        inv = 1 / mat[pr][col]
-        mat[pr] = [c * inv for c in mat[pr]]
-        for ri in range(len(mat)):
-            if ri != pr and mat[ri][col] != 0:
-                f = mat[ri][col]
-                mat[ri] = [c - f * p for c, p in zip(mat[ri], mat[pr])]
-        used.add(pr)
-        pivots.append((col, pr))
-
+    rows, _, pivots = row_reduce(_order1_rows(case), [0] * 5, column_order=_ORDER1_COLUMNS)
     forms = []
-    for col, ri in sorted(pivots):
-        row = mat[ri]
+    for _, ri in sorted((col, ri) for ri, col in pivots):
+        row = rows[ri]
         denom = lcm(*(c.denominator for c in row if c != 0))
         forms.append(LinearForm(tuple(c * denom for c in row)))
     return forms
@@ -231,7 +211,7 @@ def center_conditions_order1(case: AnnulusCase) -> list[LinearForm]:
 
 # sign patterns of the quadratic r-block, keyed by Hamiltonian signs:
 # 8 x^2 y^2 - 4 H x^2 - b x^2 - a b y^2
-def _lemma_r_quadratic(case: AnnulusCase) -> PolyXY:
+def _lemma_r_quadratic(case: AnnulusCase) -> Poly:
     H = case.hamiltonian()
     out = PolyXY.monomial(2, 2, 8) - (H * PolyXY.monomial(2, 0)).scale(4)
     out = out - PolyXY.monomial(2, 0, case.b)
@@ -289,7 +269,7 @@ def lemma_cross_form(j_coeff: RationalLike, quad_coeff: RationalLike, case: Annu
     return OneForm(P.scale(c))
 
 
-def lambdas_for_first_order(p: PolyU, q: PolyU, case: AnnulusCase) -> list[Fraction]:
+def lambdas_for_first_order(p: Poly, q: Poly, case: AnnulusCase) -> list[Fraction]:
     """Invert the order-1 table: a lambda vector whose M_1 is p I2 + q I0.
 
     p must have degree <= 1 and q degree <= 2 (the order-1 range).  The
@@ -299,17 +279,8 @@ def lambdas_for_first_order(p: PolyU, q: PolyU, case: AnnulusCase) -> list[Fract
     """
     if p.degree() > 1 or q.degree() > 2:
         raise ValueError("(p, q) outside the order-1 range (deg p <= 1, deg q <= 2)")
-    pairs = [first_order_pair(case, j) for j in range(1, 7)]
-    rows = []
-    rhs = []
-    for k in range(2):
-        rows.append([pairs[j][0][k] for j in range(6)])
-        rhs.append(p[k])
-    for k in range(3):
-        rows.append([pairs[j][1][k] for j in range(6)])
-        rhs.append(q[k])
-    order = [0, 1, 3, 4, 5, 2]  # lambda_3 last: it is the free, zeroed column
-    sol = solve_linear_exact(rows, rhs, column_order=order)
+    rhs = [p[0], p[1], q[0], q[1], q[2]]
+    sol = solve_linear_exact(_order1_rows(case), rhs, column_order=_ORDER1_COLUMNS)
     if sol is None:
         raise ValueError("(p, q) is not realizable at order 1")
     return sol

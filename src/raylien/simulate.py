@@ -14,7 +14,7 @@ leading-order coefficient p(h) I2(h) + q(h) I0(h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,6 +28,7 @@ __all__ = [
     "EscapeError",
     "section_range",
     "section_x_for_h",
+    "default_x_window",
     "poincare_return",
     "find_limit_cycles",
     "melnikov_validation",
@@ -82,21 +83,21 @@ class DisplacementSample:
 
 def section_range(case: AnnulusCase) -> tuple[float, float]:
     """Open x-interval of the section {y = 0} transversal to the annulus."""
-    name = case.name
-    if name == "global-center":
-        return 0.0, math.inf
-    if name == "truncated-pendulum":
-        return 0.0, 1.0
-    if name == "eight-interior":
-        return 1.0, math.sqrt(2.0)
-    if name == "eight-exterior":
-        return math.sqrt(2.0), math.inf
-    raise KeyError(name)
+    return case.section_range
 
 
 def section_x_for_h(case: AnnulusCase, h: float) -> float:
     """Section point of the level-h oval (the rightmost y=0 crossing)."""
     return oval_geometry(case, h).x_hi
+
+
+def default_x_window(case: AnnulusCase) -> tuple[float, float]:
+    """The section range, capped at the level-10 oval, less 2% at each end."""
+    lo, hi = section_range(case)
+    if math.isinf(hi):
+        hi = section_x_for_h(case, 10.0)
+    span = hi - lo
+    return lo + 0.02 * span, hi - 0.02 * span
 
 
 def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
@@ -164,7 +165,7 @@ def find_limit_cycles(
 ) -> list[tuple[float, str]]:
     """Limit cycles as (h*, stability) from sign changes of the displacement.
 
-    The section window defaults to the h-range [case grid]; pass x_window
+    The section window defaults to :func:`default_x_window`; pass x_window
     to focus the scan.  Stability follows the sign pattern of d: + to -
     with increasing h is attracting.  Sign changes whose endpoints both sit
     below the integrator noise floor are discarded (a cycle whose
@@ -172,13 +173,7 @@ def find_limit_cycles(
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if x_window is None:
-        lo, hi = section_range(cfg.case)
-        if math.isinf(hi):
-            hi = section_x_for_h(cfg.case, 10.0)
-        span = hi - lo
-        x_window = (lo + 0.02 * span, hi - 0.02 * span)
-    xs = np.linspace(x_window[0], x_window[1], grid)
+    xs = np.linspace(*(x_window or default_x_window(cfg.case)), grid)
     samples = [_displacement_or_none(cfg, float(x)) for x in xs]
 
     cycles: list[tuple[float, str]] = []

@@ -20,21 +20,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .elliptic import (
-    H_REF,
-    PeriodValue,
-    _pf_J,
-    _pf_rhs_factory,
-    periods_real,
-)
-from .exactalg import PolyU
-from .forms import CASES, AnnulusCase
+from .elliptic import _pf_J, _solve_piece, periods_real
+from .exactalg import Poly, PolyU
+from .forms import EIGHT_EXTERIOR, AnnulusCase
 
 __all__ = [
     "VElement",
@@ -51,8 +44,8 @@ __all__ = [
 class VElement:
     """p(h) I2 + q(h) I0 (basis='I') or p(h) J2 + q(h) J0 (basis='J')."""
 
-    p: PolyU
-    q: PolyU
+    p: Poly
+    q: Poly
     case: AnnulusCase
     basis: str = "I"
 
@@ -101,12 +94,11 @@ def derivative_element(e: VElement) -> VElement:
     I2 = (4h J0 + (12h+4) J2)/15, so substituting into
     I' = p' I2 + p J2 + q' I0 + q J0 gives exact degree-<=2 polynomials.
     """
-    if e.case.name not in ("eight-interior", "eight-exterior"):
+    if not e.case.eight_loop:
         raise ValueError("exact derivative elements need the eight-loop system")
     if e.basis != "I":
         raise ValueError("derivative_element expects an I-basis element")
-    h = PolyU.variable("h")
-    dp, dq = e.p.derivative(), e.q.derivative()
+    dp, dq = e.p.diff("h"), e.q.diff("h")
     twelveh4 = PolyU.from_coeff_list([4, 12], "h")
     fourh = PolyU.from_coeff_list([0, 4], "h")
     ptilde = e.p + (twelveh4 * dp).scale(Fraction(1, 15)) + dq.scale(Fraction(1, 3))
@@ -165,7 +157,7 @@ def _bisect_zero(e: VElement, a: float, b: float, fa: float, tol: float) -> floa
     target = 1e-10
     while (b - a) > target * max(1.0, abs(a), abs(b)):
         m = 0.5 * (a + b)
-        fm = eval_V(VElement(e.p, e.q, e.case, e.basis), m, tol)
+        fm = eval_V(e, m, tol)
         if fm == 0.0:
             return m
         if (fm > 0) == (fa > 0):
@@ -276,7 +268,7 @@ def count_zeros_real(
 
 def _probe_tangency(e: VElement, a: float, b: float, tol: float) -> int:
     """2 for a clean derivative sign change (even tangency), -1 if murky."""
-    if e.case.name in ("eight-interior", "eight-exterior") and e.basis == "I":
+    if e.case.eight_loop and e.basis == "I":
         de = derivative_element(e)
         da = eval_V(de, a, tol)
         db = eval_V(de, b, tol)
@@ -319,7 +311,7 @@ class _ContourTable:
         lo = math.log(d)
         hi = math.log(Rt)
 
-        def circle_up(t):
+        def circle(t):
             h = R * cmath.exp(1j * t)
             return h, 1j * h
 
@@ -339,26 +331,22 @@ class _ContourTable:
         def edge_dn_log(t):  # t in [lo, hi]: h = -e^t - i d
             return complex(-math.exp(t), -d), complex(-math.exp(t), 0.0)
 
-        def circle_dn(t):
-            h = R * cmath.exp(1j * t)
-            return h, 1j * h
-
         self.pieces = [
-            (circle_up, 0.0, math.pi - phi_d, spec.samples_circle),
+            (circle, 0.0, math.pi - phi_d, spec.samples_circle),
             (edge_up_log, hi, lo, spec.samples_edge),
             (edge_up_lin, -d, 0.0, spec.samples_near),
             (semicircle, 0.5 * math.pi, -0.5 * math.pi, spec.samples_near),
             (edge_dn_lin, 0.0, -d, spec.samples_near),
             (edge_dn_log, lo, hi, spec.samples_edge),
-            (circle_dn, -(math.pi - phi_d), 0.0, spec.samples_circle),
+            (circle, -(math.pi - phi_d), 0.0, spec.samples_circle),
         ]
 
-        seed = periods_real(CASES["eight-exterior"], R, 1e-13)
+        seed = periods_real(EIGHT_EXTERIOR, R, 1e-13)
         I0, I2 = complex(seed.I0), complex(seed.I2)
         self._seed = (I0, I2)
         self.sols = []
         for path, t0, t1, _ in self.pieces:
-            (I0, I2), sol = _solve_dense(path, t0, t1, I0, I2, rtol)
+            (I0, I2), sol = _solve_piece(path, t0, t1, I0, I2, rtol=rtol, dense=True)
             self.sols.append(sol)
         self.closure_error = abs(I0 - self._seed[0]) / abs(self._seed[0]) + abs(
             I2 - self._seed[1]
@@ -383,22 +371,6 @@ class _ContourTable:
         return h, J0, J2
 
 
-def _solve_dense(path, t0, t1, I0, I2, rtol):
-    sol = solve_ivp(
-        _pf_rhs_factory(path),
-        (t0, t1),
-        [I0.real, I0.imag, I2.real, I2.imag],
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"contour continuation failed: {sol.message}")
-    y = sol.y[:, -1]
-    return (y[0] + 1j * y[1], y[2] + 1j * y[3]), sol
-
-
 _TABLE_CACHE: dict[tuple[float, float, int, int, int], _ContourTable] = {}
 
 
@@ -412,7 +384,6 @@ def _contour_table(spec: ContourSpec) -> _ContourTable:
 def winding_number_F(
     e_tilde: VElement,
     contour: ContourSpec | None = None,
-    tol: float = 1e-12,
     zero_clearance: float = 1e-9,
 ) -> tuple[float, int]:
     """Winding of F = ptilde J2/J0 + qtilde along the truncated-domain boundary.

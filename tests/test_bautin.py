@@ -40,8 +40,8 @@ def test_generator_fixtures():
 def test_generator_shape():
     gens = bautin_generators(F(2), F(3)).generators
     assert len(gens) == 6
-    assert sum(1 for g in gens if g.total_degree() == 1) == 5
-    assert [g.total_degree() for g in gens].count(3) == 1
+    assert sum(1 for g in gens if g.degree() == 1) == 5
+    assert [g.degree() for g in gens].count(3) == 1
 
 
 def test_saddle_only_rejected():

@@ -43,6 +43,65 @@ def test_reduce_is_byte_reproducible(capsys):
     assert out1 == out2
 
 
+REDUCE_GC_X2Y5 = """{
+  "R": {
+    "1,3": "40/1001",
+    "1,5": "400/3003",
+    "3,3": "10/91",
+    "3,5": "19/117",
+    "5,3": "1055/9009",
+    "7,3": "5/117"
+  },
+  "case": "global-center",
+  "form": "x^2 y^5 dx",
+  "r": {
+    "1,1": "-120/1001",
+    "1,3": "-2000/3003",
+    "3,1": "-30/91",
+    "3,3": "-95/117",
+    "5,1": "-1055/3003",
+    "7,1": "-5/39"
+  },
+  "u": [
+    "160/1001",
+    "3620/3003",
+    "80/39"
+  ],
+  "v": [
+    "0",
+    "-80/1001",
+    "-1600/3003"
+  ]
+}
+"""
+
+BAUTIN_1_M1 = """{
+  "a": "1",
+  "b": "-1",
+  "generators": [
+    "l1",
+    "l2 + 3*l3",
+    "l3^3",
+    "-3*l3 + l4",
+    "l5",
+    "l6"
+  ]
+}
+"""
+
+
+def test_reduce_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "reduce", "--case", "global-center", "--form", "x^2 y^5 dx")
+    assert code == 0
+    assert out == REDUCE_GC_X2Y5
+
+
+def test_bautin_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "bautin", "--a", "1", "--b", "-1")
+    assert code == 0
+    assert out == BAUTIN_1_M1
+
+
 def test_melnikov_subcommand(tmp_path, capsys):
     arc = tmp_path / "arc.json"
     arc.write_text(json.dumps({"lambda": [["0"], ["0"], ["0"], ["0"], ["0"], ["1"]]}))
@@ -169,6 +228,48 @@ def test_simulate_subcommand_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x0,h,d,return_time"
     assert len(lines) == 6
+
+
+def test_simulate_csv_counts_escapes(monkeypatch, capsys):
+    from raylien import cli
+    from raylien.simulate import EscapeError
+
+    real_return = cli.poincare_return
+    calls = []
+
+    def escape_every_other(cfg, x0):
+        calls.append(x0)
+        if len(calls) % 2 == 0:
+            raise EscapeError("escaped annulus")
+        return real_return(cfg, x0)
+
+    monkeypatch.setattr(cli, "poincare_return", escape_every_other)
+    code, out, err = run(capsys, "simulate", "--case", "global-center",
+                         "--lambda", "0,0,0,0,0,0", "--eps", "0", "--grid", "5",
+                         "--csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 3
+    assert "skipped 2 of 5 start points" in err
+
+
+def test_simulate_csv_does_not_swallow_other_errors(monkeypatch, capsys):
+    from raylien import cli
+
+    def broken(cfg, x0):
+        raise RuntimeError("integrator blew up")
+
+    monkeypatch.setattr(cli, "poincare_return", broken)
+    code, out, err = run(capsys, "simulate", "--case", "global-center",
+                         "--lambda", "0,0,0,0,0,0", "--eps", "0", "--grid", "5",
+                         "--csv")
+    assert code == 1
+    assert "integrator blew up" in err
+    assert "skipped" not in err
+
+
+def test_argwind_has_no_tol_flag(capsys):
+    with pytest.raises(SystemExit):
+        dispatch(["argwind", "--q=1", "--tol", "1e-9"])
 
 
 def test_validate_appendix(capsys):
