@@ -105,7 +105,8 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
 
     Integrates to the opposite-orientation crossing first and on to the
     next same-orientation crossing, so the start point itself never
-    triggers the event.
+    triggers the event.  On an annulus bounded above, an orbit whose energy
+    rises through the upper level ``case.h_hi`` raises EscapeError there.
     """
     lo, hi = section_range(cfg.case)
     if not (lo < x0 < hi):
@@ -118,6 +119,17 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
 
     # all four cases cross the section downward (y' < 0 at the start)
     y_event.terminal = True
+    events = [y_event]
+    h_hi = cfg.case.h_hi
+    if math.isfinite(h_hi):
+        # rising through the annulus' upper level means leaving it: stop
+        # there instead of following the escaping orbit to max_time
+        def escape_event(t, s):
+            return cfg.hamiltonian(s[0], s[1]) - h_hi
+
+        escape_event.terminal = True
+        escape_event.direction = 1
+        events.append(escape_event)
 
     legs = (+1, -1)
     state = (x0, 0.0)
@@ -131,11 +143,13 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
             method="DOP853",
             rtol=cfg.rtol,
             atol=cfg.atol,
-            events=y_event,
+            events=events,
             dense_output=False,
         )
         if not sol.success:
             raise EscapeError(f"integration failed: {sol.message}")
+        if len(events) > 1 and sol.t_events[1].size:
+            raise EscapeError(f"escaped annulus: H rose above {h_hi} from x0={x0}")
         if sol.t_events[0].size == 0:
             raise EscapeError(
                 f"escaped annulus: no return from x0={x0} within t={cfg.max_time}"

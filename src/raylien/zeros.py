@@ -13,7 +13,10 @@ of zeros of F inside, since J0 never vanishes there.
 The contour values of (J0, J2) come from a dense Picard-Fuchs continuation
 along the contour itself, computed once per (R, delta) and shared by all
 elements; the continuation returning to its seed after the full loop is a
-built-in consistency check.
+built-in consistency check.  The table also caches h and J2/J0 at the fixed
+contour samples, so an element's F is one array evaluation per piece; only
+phase steps of pi/4 or more are refined, by bisection through the dense
+output.
 """
 
 from __future__ import annotations
@@ -152,12 +155,15 @@ def _element_values(e: VElement, hs: np.ndarray, b0: np.ndarray, b2: np.ndarray)
     return p * b2 + q * b0, np.abs(p) * np.abs(b2) + np.abs(q) * np.abs(b0)
 
 
-def _bisect_zero(e: VElement, a: float, b: float, fa: float, tol: float) -> float:
-    """Refine a bracketed sign change to relative width 1e-10."""
-    target = 1e-10
-    while (b - a) > target * max(1.0, abs(a), abs(b)):
+# quadrature tolerance of the bisection's element values
+_BISECT_QUAD_TOL = 1e-9
+
+
+def _bisect_zero(e: VElement, a: float, b: float, fa: float, width: float) -> float:
+    """Refine a bracketed sign change to relative width ``width``."""
+    while (b - a) > width * max(1.0, abs(a), abs(b)):
         m = 0.5 * (a + b)
-        fm = eval_V(e, m, tol)
+        fm = eval_V(e, m, _BISECT_QUAD_TOL)
         if fm == 0.0:
             return m
         if (fm > 0) == (fa > 0):
@@ -171,12 +177,13 @@ def count_zeros_real(
     e: VElement,
     grid: int = 200,
     tol: float = 1e-12,
-    refine_tol: float = 1e-9,
+    refine_tol: float = 1e-10,
 ) -> ZeroReport:
     """Sign-change scan with bisection refinement and tangency probing.
 
     The count covers the scan window (equal to the case interval, truncated
     to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
+    Each located zero is bisected to relative width ``refine_tol``.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -356,9 +363,15 @@ class _ContourTable:
                 f"contour continuation failed to close: error {self.closure_error:.2e}"
             )
 
-        self.ts: list[np.ndarray] = []
+        # (ts, hs, J2/J0) at the fixed samples of each piece: element-free, so
+        # each element costs one array pass per piece
+        self.samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for (path, t0, t1, n), sol in zip(self.pieces, self.sols):
-            self.ts.append(np.linspace(t0, t1, n))
+            ts = np.linspace(t0, t1, n)
+            hs = np.array([path(float(t))[0] for t in ts])
+            y = sol.sol(ts)
+            J0, J2 = _pf_J(hs, y[0] + 1j * y[1], y[2] + 1j * y[3])
+            self.samples.append((ts, hs, J2 / J0))
 
     def jj_at(self, piece: int, t: float) -> tuple[complex, complex, complex]:
         """(h, J0, J2) at parameter t of a piece (dense-output backed)."""
@@ -404,28 +417,37 @@ def winding_number_F(
     pc = [float(e_tilde.p[k]) for k in (2, 1, 0)]
     qc = [float(e_tilde.q[k]) for k in (2, 1, 0)]
 
-    def F_at(piece: int, t: float) -> complex:
-        h, J0, J2 = table.jj_at(piece, t)
-        ratio = J2 / J0
-        val = np.polyval(pc, h) * ratio + np.polyval(qc, h)
-        scale = abs(np.polyval(pc, h)) * abs(ratio) + abs(np.polyval(qc, h))
-        if abs(val) < zero_clearance * max(scale, 1e-300):
+    def F_of(hs, ratio):
+        """F at one h or an array of h; raises at the first near-zero."""
+        p, q = np.polyval(pc, hs), np.polyval(qc, hs)
+        val = p * ratio + q
+        scale = np.abs(p) * np.abs(ratio) + np.abs(q)
+        near = np.abs(val) < zero_clearance * np.maximum(scale, 1e-300)
+        if near.any():
+            h = complex(np.atleast_1d(hs)[np.argmax(near)])
             raise RuntimeError(f"contour hits a zero of F near h={h:.6g}")
         return val
 
+    def F_at(piece: int, t: float) -> complex:
+        h, J0, J2 = table.jj_at(piece, t)
+        return complex(F_of(h, J2 / J0))
+
     total = 0.0
-    for piece, ts in enumerate(table.ts):
-        fvals = [F_at(piece, float(t)) for t in ts]
-        for k in range(len(ts) - 1):
+    for piece, (ts, hs, ratio) in enumerate(table.samples):
+        fvals = F_of(hs, ratio)
+        steps = np.angle(fvals[1:] / fvals[:-1])
+        wide = np.abs(steps) >= 0.25 * math.pi
+        total += float(np.sum(steps[~wide]))
+        for k in np.flatnonzero(wide):
             total += _phase_step(
-                table, piece, float(ts[k]), float(ts[k + 1]), fvals[k], fvals[k + 1],
+                piece, float(ts[k]), float(ts[k + 1]), complex(fvals[k]), complex(fvals[k + 1]),
                 F_at, spec.max_refine_depth,
             )
     winding = total / (2.0 * math.pi)
     return winding, int(round(winding))
 
 
-def _phase_step(table, piece, t0, t1, f0, f1, F_at, depth) -> float:
+def _phase_step(piece, t0, t1, f0, f1, F_at, depth) -> float:
     step = cmath.phase(f1 / f0)
     if abs(step) < 0.25 * math.pi:
         return step
@@ -433,6 +455,6 @@ def _phase_step(table, piece, t0, t1, f0, f1, F_at, depth) -> float:
         raise RuntimeError("argument refinement budget exceeded")
     tm = 0.5 * (t0 + t1)
     fm = F_at(piece, tm)
-    return _phase_step(table, piece, t0, tm, f0, fm, F_at, depth - 1) + _phase_step(
-        table, piece, tm, t1, fm, f1, F_at, depth - 1
+    return _phase_step(piece, t0, tm, f0, fm, F_at, depth - 1) + _phase_step(
+        piece, tm, t1, fm, f1, F_at, depth - 1
     )

@@ -28,7 +28,7 @@ def test_parse_monomial_forms():
 
 def test_reduce_subcommand(capsys):
     code, out, _ = run(capsys, "reduce", "--case", "global-center",
-                       "--form", "y^3 dx", "--json")
+                       "--form", "y^3 dx")
     assert code == 0
     data = json.loads(out)
     assert data["u"] == ["-3/7"]
@@ -37,9 +37,9 @@ def test_reduce_subcommand(capsys):
 
 def test_reduce_is_byte_reproducible(capsys):
     _, out1, _ = run(capsys, "reduce", "--case", "eight-interior",
-                     "--form", "x^2 y^5 dx", "--json")
+                     "--form", "x^2 y^5 dx")
     _, out2, _ = run(capsys, "reduce", "--case", "eight-interior",
-                     "--form", "x^2 y^5 dx", "--json")
+                     "--form", "x^2 y^5 dx")
     assert out1 == out2
 
 
@@ -106,7 +106,7 @@ def test_melnikov_subcommand(tmp_path, capsys):
     arc = tmp_path / "arc.json"
     arc.write_text(json.dumps({"lambda": [["0"], ["0"], ["0"], ["0"], ["0"], ["1"]]}))
     code, out, _ = run(capsys, "melnikov", "--case", "eight-exterior",
-                       "--arc", str(arc), "--json")
+                       "--arc", str(arc))
     assert code == 0
     data = json.loads(out)
     assert data["order"] == 1
@@ -118,7 +118,7 @@ def test_melnikov_zero_arc_report(tmp_path, capsys):
     arc = tmp_path / "arc.json"
     arc.write_text(json.dumps({"lambda": [["0"]] * 6}))
     code, out, _ = run(capsys, "melnikov", "--case", "global-center",
-                       "--arc", str(arc), "--max-order", "3", "--json")
+                       "--arc", str(arc), "--max-order", "3")
     assert code == 0
     data = json.loads(out)
     assert data["all_vanished"] is True and data["arc_is_zero"] is True
@@ -165,7 +165,7 @@ def test_nakayama_failure_exit_code(tmp_path, capsys):
 
 def test_periods_subcommand_real(capsys):
     code, out, _ = run(capsys, "periods", "--case", "global-center",
-                       "--h", "1.0", "--json")
+                       "--h", "1.0")
     assert code == 0
     data = json.loads(out)
     assert data["I0"][0] > 0 and abs(data["I0"][1]) == 0.0
@@ -173,7 +173,7 @@ def test_periods_subcommand_real(capsys):
 
 def test_periods_grid_csv(capsys):
     code, out, _ = run(capsys, "periods", "--case", "eight-exterior",
-                       "--grid", "4", "--csv")
+                       "--grid", "4")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "h,I0,I2,J0,J2"
@@ -188,7 +188,7 @@ def test_pfcheck_subcommand(capsys):
 
 def test_zeros_subcommand(capsys):
     code, out, _ = run(capsys, "zeros", "--case", "global-center",
-                       "--q=-2,3,-1", "--method", "real", "--json")
+                       "--q=-2,3,-1", "--method", "real")
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 2
@@ -197,14 +197,14 @@ def test_zeros_subcommand(capsys):
 
 def test_zeros_random_batch_records_seed(capsys):
     code, out, _ = run(capsys, "zeros", "--case", "eight-interior",
-                       "--random", "5", "--seed", "42", "--csv")
+                       "--random", "5", "--seed", "42")
     assert code == 0
     assert out.startswith("# seed=42")
     assert "count,frequency" in out
 
 
 def test_argwind_subcommand(capsys):
-    code, out, _ = run(capsys, "argwind", "--p=0,0,0", "--q=1", "--json")
+    code, out, _ = run(capsys, "argwind", "--p=0,0,0", "--q=1")
     assert code == 0
     data = json.loads(out)
     assert data["zero_bound_estimate"] == 0
@@ -214,7 +214,7 @@ def test_argwind_subcommand(capsys):
 def test_simulate_subcommand_json(capsys):
     code, out, _ = run(capsys, "simulate", "--case", "global-center",
                        "--lambda", "1,0,0,0,0,0", "--eps", "0.001",
-                       "--grid", "8", "--json")
+                       "--grid", "8")
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 0
@@ -270,6 +270,19 @@ def test_simulate_csv_does_not_swallow_other_errors(monkeypatch, capsys):
 def test_argwind_has_no_tol_flag(capsys):
     with pytest.raises(SystemExit):
         dispatch(["argwind", "--q=1", "--tol", "1e-9"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--case", "global-center", "--form", "y^3 dx", "--json"],
+    ["bautin", "--a", "1", "--b", "-1", "--json"],
+    ["periods", "--case", "global-center", "--grid", "4", "--csv"],
+    ["zeros", "--case", "global-center", "--q=1", "--csv"],
+    ["argwind", "--q=1", "--json"],
+    ["simulate", "--case", "global-center", "--lambda", "0,0,0,0,0,0", "--json"],
+])
+def test_no_op_format_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit):
+        dispatch(argv)
 
 
 def test_validate_appendix(capsys):

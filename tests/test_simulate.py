@@ -1,6 +1,7 @@
 """Poincare returns, limit-cycle detection, leading-order validation."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_escape_near_separatrix():
     cfg = SimConfig(TRUNCATED_PENDULUM, (0,) * 6, 0.0, max_time=30.0)
     with pytest.raises(EscapeError):
         poincare_return(cfg, 0.999999)
+
+
+@pytest.mark.parametrize("x0", [0.9, 0.98])
+def test_orbit_pumped_across_the_separatrix_escapes_promptly(x0):
+    # lambda1 pumps energy until the orbit crosses h = 1/4 and runs off;
+    # without the energy guard this integrates an unbounded orbit for
+    # longer than 25 s
+    cfg = SimConfig(TRUNCATED_PENDULUM, (1, -1, 0, 0, 0, 0), 0.01)
+    t0 = time.perf_counter()
+    with pytest.raises(EscapeError, match="rose above"):
+        poincare_return(cfg, x0)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_central_symmetry_of_eight_interior():

@@ -13,6 +13,9 @@ from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER
 from raylien.zeros import (
     ContourSpec,
     VElement,
+    _ContourTable,
+    _contour_table,
+    _phase_step,
     count_zeros_real,
     derivative_element,
     eval_V,
@@ -55,6 +58,26 @@ def test_constructed_two_zero_element():
     zs = [h for h, _ in rep.locations]
     assert zs[0] == pytest.approx(1.0, abs=1e-8)
     assert zs[1] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_refine_tol_is_the_bisection_width(monkeypatch):
+    import raylien.zeros as zeros
+
+    calls = []
+
+    def counted(e, h, tol=1e-12):
+        calls.append(h)
+        return eval_V(e, h, tol)
+
+    monkeypatch.setattr(zeros, "eval_V", counted)
+    e = ve([], [-2, 3, -1], GLOBAL_CENTER)
+    fine = count_zeros_real(e)
+    n_fine = len(calls)
+    calls.clear()
+    coarse = count_zeros_real(e, refine_tol=1e-4)
+    assert 0 < len(calls) < n_fine
+    for (z_c, _), (z_f, _) in zip(coarse.locations, fine.locations):
+        assert z_c == pytest.approx(z_f, rel=2e-4)
 
 
 def test_locations_inside_window():
@@ -168,3 +191,67 @@ def test_derivative_of_pure_I2_matches_its_real_zeros():
     e_t = derivative_element(ve([1], [], EIGHT_EXTERIOR))
     w, n = winding_number_F(VElement(e_t.p, e_t.q, EIGHT_EXTERIOR, basis="J"))
     assert count_zeros_real(e_t).count <= n <= 5
+
+
+def _seeded_J_elements(seed, n):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        pc = [F(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+        qc = [F(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+        out.append(ve(pc, qc, EIGHT_EXTERIOR, basis="J"))
+    return out
+
+
+def _scalar_winding(e, spec):
+    """Reference: F from one dense-output evaluation per contour sample."""
+    table = _contour_table(spec)
+    pc = [float(e.p[k]) for k in (2, 1, 0)]
+    qc = [float(e.q[k]) for k in (2, 1, 0)]
+
+    def F_at(piece, t):
+        h, J0, J2 = table.jj_at(piece, t)
+        return np.polyval(pc, h) * (J2 / J0) + np.polyval(qc, h)
+
+    total = 0.0
+    for piece, (ts, _, _) in enumerate(table.samples):
+        f = [F_at(piece, float(t)) for t in ts]
+        for k in range(len(ts) - 1):
+            total += _phase_step(piece, float(ts[k]), float(ts[k + 1]), f[k], f[k + 1],
+                                 F_at, spec.max_refine_depth)
+    return total / (2.0 * math.pi)
+
+
+def test_array_winding_matches_scalar_reference():
+    spec = ContourSpec()
+    for e in _seeded_J_elements(31, 3):
+        w, n = winding_number_F(e, spec)
+        assert w == pytest.approx(_scalar_winding(e, spec), rel=0, abs=1e-12)
+
+
+def test_coarse_contour_refines_wide_steps_to_the_same_count(monkeypatch):
+    coarse = ContourSpec(samples_circle=20, samples_edge=15, samples_near=5)
+    elements = _seeded_J_elements(20260810, 4)
+    defaults = [winding_number_F(e)[1] for e in elements]
+    jj_at = _ContourTable.jj_at
+    calls = []
+
+    def counted(self, piece, t):
+        calls.append(piece)
+        return jj_at(self, piece, t)
+
+    monkeypatch.setattr(_ContourTable, "jj_at", counted)
+    for e, n_default in zip(elements, defaults):
+        w, n = winding_number_F(e, coarse)
+        assert n == n_default
+        assert abs(w - n) < 1e-6
+    assert calls  # the wide steps went through the dense-output refinement
+    w, _ = winding_number_F(elements[0], coarse)
+    assert w == pytest.approx(_scalar_winding(elements[0], coarse), rel=0, abs=1e-12)
+
+
+def test_winding_refuses_a_zero_on_the_contour():
+    # F = h - R vanishes at the first contour sample h = R
+    e = ve([], [-1000, 1], EIGHT_EXTERIOR, basis="J")
+    with pytest.raises(RuntimeError, match="contour hits a zero of F near h=1000"):
+        winding_number_F(e)
