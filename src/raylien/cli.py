@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog
 from .bautin import MembershipError, bautin_generators, nakayama_certify
 from .elliptic import case_grid, periods_complex, periods_real, pf_residual
-from .exactalg import MultiPoly, Poly, PolyU, PolyXY, rat, rat_str
+from .exactalg import MultiPoly, Poly, PolyXY, rat, rat_str
 from .forms import CASES, OneForm, get_case, reduce as reduce_form
 from .melnikov import AllVanishedReport, ParamArc, melnikov
 from .simulate import EscapeError, SimConfig, default_x_window, find_limit_cycles, poincare_return
@@ -222,26 +222,26 @@ def _cmd_zeros(args) -> int:
             print(f"{c},{hist[c]}")
         return 0
     e = VElement.from_coeffs(_parse_coeff_list(args.p), _parse_coeff_list(args.q), case)
-    if args.method == "real":
-        rep = count_zeros_real(e, grid=args.grid, tol=args.tol)
-        _emit(
-            {
-                "case": case.name,
-                "method": rep.method,
-                "count": rep.count,
-                "locations": [[h, m] for h, m in rep.locations],
-                "bound": rep.bound,
-                "certified": rep.certified,
-                "window": list(rep.window),
-                "notes": rep.notes,
-            }
-        )
-        return 0
-    return _run_argwind(e.p, e.q, args)
+    rep = count_zeros_real(e, grid=args.grid, tol=args.tol)
+    _emit(
+        {
+            "case": case.name,
+            "method": rep.method,
+            "count": rep.count,
+            "locations": [[h, m] for h, m in rep.locations],
+            "bound": rep.bound,
+            "certified": rep.certified,
+            "window": list(rep.window),
+            "notes": rep.notes,
+        }
+    )
+    return 0
 
 
-def _run_argwind(p: Poly, q: Poly, args) -> int:
-    e = VElement(p, q, CASES["eight-exterior"], basis="J")
+def _cmd_argwind(args) -> int:
+    e = VElement.from_coeffs(
+        _parse_coeff_list(args.p), _parse_coeff_list(args.q), CASES["eight-exterior"], basis="J"
+    )
     spec = ContourSpec(R=args.R, delta=args.delta)
     winding, estimate = winding_number_F(e, spec)
     _emit(
@@ -255,12 +255,6 @@ def _run_argwind(p: Poly, q: Poly, args) -> int:
         }
     )
     return 0
-
-
-def _cmd_argwind(args) -> int:
-    p = PolyU.from_coeff_list(_parse_coeff_list(args.p), "h")
-    q = PolyU.from_coeff_list(_parse_coeff_list(args.q), "h")
-    return _run_argwind(p, q, args)
 
 
 def _cmd_simulate(args) -> int:
@@ -394,13 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=case_names)
     p.add_argument("--p", default="", help="comma-separated coefficients c0,c1,c2")
     p.add_argument("--q", default="", help="comma-separated coefficients c0,c1,c2")
-    p.add_argument("--method", default="real", choices=("real", "argwind"))
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--random", type=int, default=0, help="batch: count N random elements")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--R", type=float, default=1e3)
-    p.add_argument("--delta", type=float, default=1e-3)
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("argwind", help="argument-principle winding on the cut plane")

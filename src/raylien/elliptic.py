@@ -25,6 +25,7 @@ For the eight loop the module also provides
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +90,13 @@ def oval_geometry(case: AnnulusCase, h: float) -> OvalGeometry:
 # ---------------------------------------------------------------------------
 
 _T_MAX = 4.3
-_LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_MIN_LEVEL = 5
+_MAX_LEVEL = 12
 
 
+@functools.lru_cache(maxsize=_MAX_LEVEL - _MIN_LEVEL + 1)
 def _ts_level(k: int):
     """Nodes/weights at step 2^-k: (x, w, 1-x, 1+x), endpoint-stable."""
-    if k in _LEVEL_CACHE:
-        return _LEVEL_CACHE[k]
     step = 2.0 ** (-k)
     n = int(math.ceil(_T_MAX / step))
     t = step * np.arange(1, n + 1)
@@ -109,17 +110,10 @@ def _ts_level(k: int):
     w_full = np.concatenate([w[::-1], [0.5 * np.pi * step], w])
     one_minus = np.concatenate([2.0 - om[::-1], [1.0], om])
     one_plus = one_minus[::-1].copy()
-    _LEVEL_CACHE[k] = (x_full, w_full, one_minus, one_plus)
-    return _LEVEL_CACHE[k]
+    return x_full, w_full, one_minus, one_plus
 
 
-def periods_real(
-    case: AnnulusCase,
-    h: float,
-    tol: float = 1e-12,
-    min_level: int = 5,
-    max_level: int = 12,
-) -> PeriodValue:
+def periods_real(case: AnnulusCase, h: float, tol: float = 1e-12) -> PeriodValue:
     """All four period values on the real oval at level h.
 
     Levels double until the largest relative change drops below tol; the
@@ -135,7 +129,7 @@ def periods_real(
     half = 0.5 * (B - A)
     mid = 0.5 * (B + A)
     prev = None
-    for k in range(min_level, max_level + 1):
+    for k in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         x, w, om, op = _ts_level(k)
         xx = mid + half * x
         bmx = half * om
@@ -197,6 +191,10 @@ def case_grid(case: AnnulusCase, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 H_REF = 1.0
+# relative tolerance of every Picard-Fuchs ODE solve
+_PF_RTOL = 1e-12
+# off-axis paths travel at least this far above/below the real axis
+_SLIT_MARGIN = 1.0
 
 
 def _pf_J(h: complex, I0: complex, I2: complex) -> tuple[complex, complex]:
@@ -221,13 +219,13 @@ def _pf_rhs_factory(path):
     return rhs
 
 
-def _solve_piece(path, t0, t1, I0, I2, rtol=1e-12, dense=False):
+def _solve_piece(path, t0, t1, I0, I2, dense=False):
     sol = solve_ivp(
         _pf_rhs_factory(path),
         (t0, t1),
         [I0.real, I0.imag, I2.real, I2.imag],
         method="DOP853",
-        rtol=rtol,
+        rtol=_PF_RTOL,
         atol=1e-14,
         dense_output=dense,
     )
@@ -246,41 +244,36 @@ def _line_path(za: complex, zb: complex):
     return path
 
 
-def slit_avoiding_waypoints(h: complex, h_ref: float = H_REF, margin: float = 1.0) -> list[complex]:
-    """Piecewise-linear path from h_ref to h staying clear of 0 and -1/4.
+def slit_avoiding_waypoints(h: complex) -> list[complex]:
+    """Piecewise-linear path from H_REF to h staying clear of 0 and -1/4.
 
     Real positive targets go straight; off-axis targets travel at height
-    +-margin above/below the axis and descend vertically at Re(h).
+    +-max(1, |Im h|) above/below the axis and descend vertically at Re(h).
     """
     h = complex(h)
     if h.imag == 0.0 and h.real > 0.0:
-        return [complex(h_ref), h]
+        return [complex(H_REF), h]
     if h.imag == 0.0:
         raise ValueError("target on the cut (-inf, 0]")
     sgn = 1.0 if h.imag > 0 else -1.0
-    lift = sgn * max(margin, abs(h.imag))
-    return [complex(h_ref), complex(h_ref, lift), complex(h.real, lift), h]
+    lift = sgn * max(_SLIT_MARGIN, abs(h.imag))
+    return [complex(H_REF), complex(H_REF, lift), complex(h.real, lift), h]
 
 
-def pf_continue(
-    h: complex,
-    tol: float = 1e-12,
-    h_ref: float = H_REF,
-    rtol: float = 1e-12,
-) -> PeriodValue:
+def pf_continue(h: complex, tol: float = 1e-12) -> PeriodValue:
     """Continue the exterior-oval periods to h in the cut plane (ODE route)."""
-    seed = periods_real(EIGHT_EXTERIOR, h_ref, tol)
+    seed = periods_real(EIGHT_EXTERIOR, H_REF, tol)
     I0, I2 = complex(seed.I0), complex(seed.I2)
-    pts = slit_avoiding_waypoints(h, h_ref)
+    pts = slit_avoiding_waypoints(h)
     for za, zb in zip(pts[:-1], pts[1:]):
         if za == zb:
             continue
-        (I0, I2), _ = _solve_piece(_line_path(za, zb), 0.0, 1.0, I0, I2, rtol=rtol)
+        (I0, I2), _ = _solve_piece(_line_path(za, zb), 0.0, 1.0, I0, I2)
     J0, J2 = _pf_J(complex(h), I0, I2)
     tag = "real-oval" if complex(h).imag == 0 else ("plus-side" if complex(h).imag > 0 else "minus-side")
     return PeriodValue(
         I0=I0, I2=I2, J0=J0, J2=J2, h=complex(h), case="eight-exterior",
-        branch_tag=tag, est_error=max(seed.est_error, rtol),
+        branch_tag=tag, est_error=max(seed.est_error, _PF_RTOL),
     )
 
 
@@ -315,20 +308,24 @@ def _track_root(q_prev: complex, h: complex) -> tuple[complex, complex]:
     return q, other
 
 
-def _ellipse_periods(h: complex, q: complex, other: complex, tol: float,
-                     sigma_min: float = 1e-2, n_max: int = 32768):
+# the ellipse must keep this elliptic-coordinate distance from the other pair
+_SIGMA_MIN = 1e-2
+_ELLIPSE_MAX_NODES = 32768
+
+
+def _ellipse_periods(h: complex, q: complex, other: complex, tol: float):
     """Loop integrals around the pair {q, -q} on x = q cosh(sigma + i theta)."""
     ws = cmath.acosh(other / q)
     sep = abs(ws.real)
-    if sep < sigma_min:
+    if sep < _SIGMA_MIN:
         raise ContourObstructionError(
             f"contour deformation required at h={h}: branch-point pair "
-            f"separation {sep:.2e} below {sigma_min}"
+            f"separation {sep:.2e} below {_SIGMA_MIN}"
         )
     sigma = min(0.5 * sep, 1.0)
     prev = None
     n = 256
-    while n <= n_max:
+    while n <= _ELLIPSE_MAX_NODES:
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         zc = q * np.cosh(sigma + 1j * theta)
         dz = 1j * q * np.sinh(sigma + 1j * theta)
@@ -359,38 +356,35 @@ def _ellipse_periods(h: complex, q: complex, other: complex, tol: float,
     raise QuadratureError(f"contour quadrature did not converge at h={h}")
 
 
-def periods_complex(
-    h: complex,
-    tol: float = 1e-12,
-    route: str = "contour",
-    h_ref: float = H_REF,
-    max_steps: int = 4096,
-    delta_min: float = 1e-6,
-) -> PeriodValue:
+_MAX_HOMOTOPY_STEPS = 4096
+_CUT_CLEARANCE = 1e-6
+
+
+def periods_complex(h: complex, tol: float = 1e-12, route: str = "contour") -> PeriodValue:
     """Exterior-oval periods continued to complex h (cut plane).
 
-    route='contour': straight-line homotopy from h_ref with branch-point
+    route='contour': straight-line homotopy from H_REF with branch-point
     tracking and ellipse contours; errors out on homotopy obstructions
     rather than deforming.  route='pf-ode': Picard-Fuchs continuation.
-    Points closer than ``delta_min`` to the cut are rejected.
+    Points closer than 1e-6 to the cut are rejected.
     """
     h = complex(h)
     slit_dist = abs(h.imag) if h.real <= 0.0 else abs(h)
     if h.imag == 0.0 and h.real <= 0.0:
         raise ValueError("h on the cut (-inf, 0]")
-    if slit_dist < delta_min:
-        raise ValueError(f"h={h} within {delta_min} of the cut")
+    if slit_dist < _CUT_CLEARANCE:
+        raise ValueError(f"h={h} within {_CUT_CLEARANCE} of the cut")
     if route == "pf-ode":
-        return pf_continue(h, tol=tol, h_ref=h_ref)
+        return pf_continue(h, tol=tol)
     if route != "contour":
         raise ValueError(f"unknown route {route!r}")
 
-    seed = periods_real(EIGHT_EXTERIOR, h_ref, tol)
+    seed = periods_real(EIGHT_EXTERIOR, H_REF, tol)
     ref = np.array([seed.I0, seed.I2, seed.J0, seed.J2], dtype=complex)
-    geo = oval_geometry(EIGHT_EXTERIOR, h_ref)
+    geo = oval_geometry(EIGHT_EXTERIOR, H_REF)
     state_q = complex(geo.x_hi)
     state_vals = ref.copy()
-    state_h = complex(h_ref)
+    state_h = complex(H_REF)
 
     n_steps = 8
     while True:
@@ -404,7 +398,7 @@ def periods_complex(
                 # raw order: (I0, I2, J0, J2) up to a common sign
                 dp = np.max(np.abs(raw - vals))
                 dm = np.max(np.abs(raw + vals))
-                if min(dp, dm) > 0.5 * max(np.max(np.abs(vals)), 1e-300) and n_steps < max_steps:
+                if min(dp, dm) > 0.5 * max(np.max(np.abs(vals)), 1e-300) and n_steps < _MAX_HOMOTOPY_STEPS:
                     raise _NeedRefine()
                 vals = raw if dp <= dm else -raw
             break
@@ -457,23 +451,22 @@ def _extrapolate_to_zero(xs: list[float], ys: list[complex]) -> complex:
     return ys[0]
 
 
-def wronskians(
-    h: float,
-    deltas: tuple[float, ...] = (1e-3, 5e-4, 2.5e-4),
-    tol: float = 1e-12,
-) -> tuple[complex, str]:
+_W_OFFSETS = (1e-3, 5e-4, 2.5e-4)
+
+
+def wronskians(h: float, tol: float = 1e-12) -> tuple[complex, str]:
     """W = J0(h+) J2(h-) - J0(h-) J2(h+) at a point of the cut, h < 0.
 
     The one-sided values are continued with the Picard-Fuchs route at the
-    offsets ``deltas`` and Richardson-extrapolated to the cut.  Tagged 'W1'
-    on (-1/4, 0) and 'W2' on (-inf, -1/4).
+    offsets 1e-3, 5e-4 and 2.5e-4 and Richardson-extrapolated to the cut.
+    Tagged 'W1' on (-1/4, 0) and 'W2' on (-inf, -1/4).
     """
     if h >= 0.0 or h == -0.25:
         raise ValueError("W is defined for h < 0, h != -1/4")
     ws = []
-    for d in deltas:
+    for d in _W_OFFSETS:
         up = pf_continue(complex(h, d), tol=tol)
         dn = pf_continue(complex(h, -d), tol=tol)
         ws.append(up.J0 * dn.J2 - dn.J0 * up.J2)
-    w = _extrapolate_to_zero(list(deltas), ws)
+    w = _extrapolate_to_zero(list(_W_OFFSETS), ws)
     return w, ("W1" if -0.25 < h < 0.0 else "W2")

@@ -444,7 +444,6 @@ def _reduce_ansatz(
 def reduce(
     omega: OneForm,
     case: AnnulusCase,
-    degree_hint: int | None = None,
     method: str = "rewrite",
     pivot_order: str = "grlex",
 ) -> CanonicalDecomposition:
@@ -461,7 +460,7 @@ def reduce(
     if method == "rewrite":
         dec = _reduce_rewrite(omega, case)
     elif method == "ansatz":
-        deg = max(omega.degree(), 1) if degree_hint is None else degree_hint
+        deg = max(omega.degree(), 1)
         dec = None
         for attempt in range(2):
             deg_uv = deg // 4 + 1 + 2 * attempt

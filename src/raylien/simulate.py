@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -26,7 +27,6 @@ __all__ = [
     "SimConfig",
     "DisplacementSample",
     "EscapeError",
-    "section_range",
     "section_x_for_h",
     "default_x_window",
     "poincare_return",
@@ -44,8 +44,8 @@ class SimConfig:
     case: AnnulusCase
     lam: tuple[float, ...]
     eps: float
-    rtol: float = 1e-11
-    atol: float = 1e-13
+    rtol: ClassVar[float] = 1e-11
+    atol: ClassVar[float] = 1e-13
     max_time: float = 400.0
 
     def __post_init__(self):
@@ -81,11 +81,6 @@ class DisplacementSample:
     x0: float
 
 
-def section_range(case: AnnulusCase) -> tuple[float, float]:
-    """Open x-interval of the section {y = 0} transversal to the annulus."""
-    return case.section_range
-
-
 def section_x_for_h(case: AnnulusCase, h: float) -> float:
     """Section point of the level-h oval (the rightmost y=0 crossing)."""
     return oval_geometry(case, h).x_hi
@@ -93,7 +88,7 @@ def section_x_for_h(case: AnnulusCase, h: float) -> float:
 
 def default_x_window(case: AnnulusCase) -> tuple[float, float]:
     """The section range, capped at the level-10 oval, less 2% at each end."""
-    lo, hi = section_range(case)
+    lo, hi = case.section_range
     if math.isinf(hi):
         hi = section_x_for_h(case, 10.0)
     span = hi - lo
@@ -108,7 +103,7 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     triggers the event.  On an annulus bounded above, an orbit whose energy
     rises through the upper level ``case.h_hi`` raises EscapeError there.
     """
-    lo, hi = section_range(cfg.case)
+    lo, hi = cfg.case.section_range
     if not (lo < x0 < hi):
         raise ValueError(f"x0={x0} outside the section range {(lo, hi)}")
     f = cfg.rhs()
@@ -161,7 +156,7 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     if not (lo < x1 < hi):
         raise EscapeError(f"return crossing at x={x1} left the section range")
     h1 = cfg.hamiltonian(x1, y1)
-    return DisplacementSample(h=h0, d=h1 - h0, return_time=t_accum, x0=x0)
+    return DisplacementSample(h=h0, d=float(h1 - h0), return_time=t_accum, x0=x0)
 
 
 def _displacement_or_none(cfg: SimConfig, x0: float):
@@ -171,11 +166,14 @@ def _displacement_or_none(cfg: SimConfig, x0: float):
         return None
 
 
+# relative width in x to which a displacement sign change is bisected
+_X_BISECT_REL = 1e-11
+
+
 def find_limit_cycles(
     cfg: SimConfig,
     grid: int = 100,
     x_window: tuple[float, float] | None = None,
-    x_bisect_rel: float = 1e-11,
 ) -> list[tuple[float, str]]:
     """Limit cycles as (h*, stability) from sign changes of the displacement.
 
@@ -204,7 +202,7 @@ def find_limit_cycles(
         if (s0.d > 0) != (s1.d > 0):
             a, b = float(xs[i]), float(xs[i + 1])
             da = s0.d
-            while (b - a) > x_bisect_rel * max(1.0, abs(b)):
+            while (b - a) > _X_BISECT_REL * max(1.0, abs(b)):
                 m = 0.5 * (a + b)
                 sm = _displacement_or_none(cfg, m)
                 if sm is None:
@@ -232,7 +230,6 @@ def melnikov_validation(
     epsilons: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
     h_window: tuple[float, float] = (0.5, 2.5),
     n_grid: int = 9,
-    rtol: float = 1e-11,
 ) -> dict:
     """Compare d(h, eps)/eps^order against p(h) I2 + q(h) I0 on a grid.
 
@@ -247,7 +244,7 @@ def melnikov_validation(
     scale = float(np.max(np.abs(target))) or 1.0
     deviations = []
     for eps in epsilons:
-        cfg = SimConfig(case=case, lam=tuple(float(c) for c in lam), eps=eps, rtol=rtol)
+        cfg = SimConfig(case=case, lam=tuple(float(c) for c in lam), eps=eps)
         dev = 0.0
         for i, h in enumerate(hs):
             x0 = section_x_for_h(case, float(h))

@@ -11,7 +11,7 @@ F = ptilde J2/J0 + qtilde along the boundary of a truncated cut plane
 of zeros of F inside, since J0 never vanishes there.
 
 The contour values of (J0, J2) come from a dense Picard-Fuchs continuation
-along the contour itself, computed once per (R, delta) and shared by all
+along the contour itself, computed once per ContourSpec and shared by all
 elements; the continuation returning to its seed after the full loop is a
 built-in consistency check.  The table also caches h and J2/J0 at the fixed
 contour samples, so an element's F is one array evaluation per piece; only
@@ -22,9 +22,11 @@ output.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -134,19 +136,14 @@ def scan_grid(case: AnnulusCase, n: int) -> np.ndarray:
     return np.unique(np.concatenate([lo + d1, hi - d2]))
 
 
-_GRID_CACHE: dict[tuple[str, int, float], tuple[np.ndarray, ...]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _grid_periods(case: AnnulusCase, n: int, tol: float):
-    key = (case.name, n, tol)
-    if key not in _GRID_CACHE:
-        hs = scan_grid(case, n)
-        vals = np.empty((4, hs.size))
-        for i, h in enumerate(hs):
-            pv = periods_real(case, float(h), tol)
-            vals[:, i] = (pv.I0, pv.I2, pv.J0, pv.J2)
-        _GRID_CACHE[key] = (hs, vals[0], vals[1], vals[2], vals[3])
-    return _GRID_CACHE[key]
+    hs = scan_grid(case, n)
+    vals = np.empty((4, hs.size))
+    for i, h in enumerate(hs):
+        pv = periods_real(case, float(h), tol)
+        vals[:, i] = (pv.I0, pv.I2, pv.J0, pv.J2)
+    return hs, vals[0], vals[1], vals[2], vals[3]
 
 
 def _element_values(e: VElement, hs: np.ndarray, b0: np.ndarray, b2: np.ndarray):
@@ -304,13 +301,13 @@ class ContourSpec:
     samples_circle: int = 700
     samples_edge: int = 500
     samples_near: int = 80
-    max_refine_depth: int = 24
+    max_refine_depth: ClassVar[int] = 24
 
 
 class _ContourTable:
     """Dense (J0, J2) along the contour, shared across elements."""
 
-    def __init__(self, spec: ContourSpec, rtol: float = 1e-12):
+    def __init__(self, spec: ContourSpec):
         self.spec = spec
         R, d = spec.R, spec.delta
         Rt = math.sqrt(R * R - d * d)
@@ -353,7 +350,7 @@ class _ContourTable:
         self._seed = (I0, I2)
         self.sols = []
         for path, t0, t1, _ in self.pieces:
-            (I0, I2), sol = _solve_piece(path, t0, t1, I0, I2, rtol=rtol, dense=True)
+            (I0, I2), sol = _solve_piece(path, t0, t1, I0, I2, dense=True)
             self.sols.append(sol)
         self.closure_error = abs(I0 - self._seed[0]) / abs(self._seed[0]) + abs(
             I2 - self._seed[1]
@@ -384,28 +381,23 @@ class _ContourTable:
         return h, J0, J2
 
 
-_TABLE_CACHE: dict[tuple[float, float, int, int, int], _ContourTable] = {}
-
-
+# a table holds about 0.5 MB of dense output
+@functools.lru_cache(maxsize=4)
 def _contour_table(spec: ContourSpec) -> _ContourTable:
-    key = (spec.R, spec.delta, spec.samples_circle, spec.samples_edge, spec.samples_near)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _ContourTable(spec)
-    return _TABLE_CACHE[key]
+    return _ContourTable(spec)
 
 
-def winding_number_F(
-    e_tilde: VElement,
-    contour: ContourSpec | None = None,
-    zero_clearance: float = 1e-9,
-) -> tuple[float, int]:
+_ZERO_CLEARANCE = 1e-9
+
+
+def winding_number_F(e_tilde: VElement, contour: ContourSpec | None = None) -> tuple[float, int]:
     """Winding of F = ptilde J2/J0 + qtilde along the truncated-domain boundary.
 
     Returns (winding, round(winding)); by the argument principle the latter
     counts zeros of F inside the truncated cut plane (zeros within delta of
     the slit or beyond radius R are outside the count).  Raises when F
-    comes within ``zero_clearance`` (relatively) of 0 on the contour, or
-    when the adaptive refinement budget is exhausted.
+    comes within 1e-9 (relative to |ptilde J2/J0| + |qtilde|) of 0 on the
+    contour, or when the adaptive refinement budget is exhausted.
     """
     if e_tilde.case.name != "eight-exterior":
         raise ValueError("the argument-principle contour lives in the exterior domain")
@@ -422,7 +414,7 @@ def winding_number_F(
         p, q = np.polyval(pc, hs), np.polyval(qc, hs)
         val = p * ratio + q
         scale = np.abs(p) * np.abs(ratio) + np.abs(q)
-        near = np.abs(val) < zero_clearance * np.maximum(scale, 1e-300)
+        near = np.abs(val) < _ZERO_CLEARANCE * np.maximum(scale, 1e-300)
         if near.any():
             h = complex(np.atleast_1d(hs)[np.argmax(near)])
             raise RuntimeError(f"contour hits a zero of F near h={h:.6g}")

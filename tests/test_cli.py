@@ -188,7 +188,7 @@ def test_pfcheck_subcommand(capsys):
 
 def test_zeros_subcommand(capsys):
     code, out, _ = run(capsys, "zeros", "--case", "global-center",
-                       "--q=-2,3,-1", "--method", "real")
+                       "--q=-2,3,-1")
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 2
@@ -228,6 +228,8 @@ def test_simulate_subcommand_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x0,h,d,return_time"
     assert len(lines) == 6
+    for line in lines[1:]:
+        assert len([float(field) for field in line.split(",")]) == 4
 
 
 def test_simulate_csv_counts_escapes(monkeypatch, capsys):
@@ -279,6 +281,9 @@ def test_argwind_has_no_tol_flag(capsys):
     ["zeros", "--case", "global-center", "--q=1", "--csv"],
     ["argwind", "--q=1", "--json"],
     ["simulate", "--case", "global-center", "--lambda", "0,0,0,0,0,0", "--json"],
+    ["zeros", "--case", "global-center", "--p=1", "--q=-1", "--method", "argwind"],
+    ["zeros", "--case", "global-center", "--q=1", "--R", "10"],
+    ["zeros", "--case", "global-center", "--q=1", "--delta", "0.01"],
 ])
 def test_no_op_format_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit):

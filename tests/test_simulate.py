@@ -15,7 +15,6 @@ from raylien.simulate import (
     find_limit_cycles,
     melnikov_validation,
     poincare_return,
-    section_range,
     section_x_for_h,
 )
 from raylien.zeros import VElement, count_zeros_real

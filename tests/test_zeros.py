@@ -1,5 +1,6 @@
 """Zero counting: real scans, derivative elements, argument principle."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from raylien.elliptic import periods_real
+from raylien.elliptic import _ts_level, periods_real
 from raylien.exactalg import PolyU
 from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER
 from raylien.zeros import (
@@ -15,10 +16,12 @@ from raylien.zeros import (
     VElement,
     _ContourTable,
     _contour_table,
+    _grid_periods,
     _phase_step,
     count_zeros_real,
     derivative_element,
     eval_V,
+    scan_grid,
     winding_number_F,
 )
 
@@ -84,6 +87,19 @@ def test_locations_inside_window():
     rep = count_zeros_real(ve([], [-2, 3, -1], EIGHT_INTERIOR))
     for h, _ in rep.locations:
         assert rep.window[0] < h < rep.window[1]
+
+
+def test_scan_grid_cache_is_keyed_by_the_whole_case():
+    count_zeros_real(ve([], [1], GLOBAL_CENTER))
+    # same name as the global centre, different interval
+    capped = dataclasses.replace(GLOBAL_CENTER, h_hi=4.0)
+    assert np.array_equal(_grid_periods(capped, 200, 1e-12)[0], scan_grid(capped, 200))
+
+
+def test_module_caches_are_bounded():
+    for cached in (_grid_periods, _contour_table, _ts_level):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 # -- derivative elements -----------------------------------------------------
