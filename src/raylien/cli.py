@@ -212,14 +212,17 @@ def _cmd_zeros(args) -> int:
         print(f"# seed={args.seed} case={case.name} n={args.random}")
         print("count,frequency")
         hist: dict[int, int] = {}
+        uncertified = 0
         for _ in range(args.random):
             pc = [Fraction(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
             qc = [Fraction(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
             e = VElement.from_coeffs(pc, qc, case)
             rep = count_zeros_real(e, grid=args.grid, tol=args.tol)
             hist[rep.count] = hist.get(rep.count, 0) + 1
+            uncertified += not rep.certified
         for c in sorted(hist):
             print(f"{c},{hist[c]}")
+        print(f"# uncertified={uncertified} of {args.random}")
         return 0
     e = VElement.from_coeffs(_parse_coeff_list(args.p), _parse_coeff_list(args.q), case)
     rep = count_zeros_real(e, grid=args.grid, tol=args.tol)

@@ -6,8 +6,9 @@ Poincare return to the section {y = 0, x in the case's section range} is
 located by dense-output event root finding (crossings matched by
 orientation, so the half-way crossing on the far side of the oval is never
 mistaken for the return).  The displacement d = H(return) - H(start),
-sampled over the section, locates limit cycles as sign changes; their
-positions and count are cross-validated against the zeros of the predicted
+sampled over the section, locates limit cycles as sign changes, each
+refined by Brent's method (scipy.optimize.brentq); their positions and
+count are cross-validated against the zeros of the predicted
 leading-order coefficient p(h) I2(h) + q(h) I0(h).
 """
 
@@ -19,6 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .elliptic import oval_geometry, periods_real
 from .forms import AnnulusCase
@@ -102,6 +104,8 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     next same-orientation crossing, so the start point itself never
     triggers the event.  On an annulus bounded above, an orbit whose energy
     rises through the upper level ``case.h_hi`` raises EscapeError there.
+    An integration that solve_ivp reports as failed raises RuntimeError,
+    which is not an escape.
     """
     lo, hi = cfg.case.section_range
     if not (lo < x0 < hi):
@@ -142,7 +146,7 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
             dense_output=False,
         )
         if not sol.success:
-            raise EscapeError(f"integration failed: {sol.message}")
+            raise RuntimeError(f"integration failed from x0={x0}: {sol.message}")
         if len(events) > 1 and sol.t_events[1].size:
             raise EscapeError(f"escaped annulus: H rose above {h_hi} from x0={x0}")
         if sol.t_events[0].size == 0:
@@ -166,8 +170,8 @@ def _displacement_or_none(cfg: SimConfig, x0: float):
         return None
 
 
-# relative width in x to which a displacement sign change is bisected
-_X_BISECT_REL = 1e-11
+# relative width in x to which Brent's method refines a displacement sign change
+_XTOL_REL = 1e-11
 
 
 def find_limit_cycles(
@@ -178,7 +182,9 @@ def find_limit_cycles(
     """Limit cycles as (h*, stability) from sign changes of the displacement.
 
     The section window defaults to :func:`default_x_window`; pass x_window
-    to focus the scan.  Stability follows the sign pattern of d: + to -
+    to focus the scan.  Each sign change is refined by Brent's method to a
+    relative width of 1e-11 in x (or, if a probe inside it escapes, taken
+    at its midpoint).  Stability follows the sign pattern of d: + to -
     with increasing h is attracting.  Sign changes whose endpoints both sit
     below the integrator noise floor are discarded (a cycle whose
     displacement never rises above the energy drift is not resolvable).
@@ -201,20 +207,12 @@ def find_limit_cycles(
             continue
         if (s0.d > 0) != (s1.d > 0):
             a, b = float(xs[i]), float(xs[i + 1])
-            da = s0.d
-            while (b - a) > _X_BISECT_REL * max(1.0, abs(b)):
-                m = 0.5 * (a + b)
-                sm = _displacement_or_none(cfg, m)
-                if sm is None:
-                    break
-                if sm.d == 0.0:
-                    a = b = m
-                    break
-                if (sm.d > 0) == (da > 0):
-                    a, da = m, sm.d
-                else:
-                    b = m
-            x_star = 0.5 * (a + b)
+            xtol = _XTOL_REL * max(1.0, abs(b))
+            try:
+                x_star = brentq(lambda x: poincare_return(cfg, x).d, a, b, xtol=xtol)
+            except EscapeError:
+                # a probe inside the bracket escaped: fall back to its midpoint
+                x_star = 0.5 * (a + b)
             h_star = cfg.hamiltonian(x_star, 0.0)
             stability = "stable" if s0.d > 0 else "unstable"
             cycles.append((h_star, stability))

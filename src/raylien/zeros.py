@@ -1,6 +1,6 @@
 """Zero counting for elements p(h) I2(h) + q(h) I0(h), deg p, q <= 2.
 
-Real intervals are scanned on a log-graded grid with bisection refinement;
+Real intervals are scanned on a log-graded grid with Brent refinement;
 near-tangencies are probed with the derivative element (exact via the
 Picard-Fuchs relations on the eight-loop annuli, finite differences
 elsewhere) and reported as multiplicity-2 candidates.  On the eight-loop
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .elliptic import _pf_J, _solve_piece, periods_real
 from .exactalg import Poly, PolyU
@@ -152,35 +153,18 @@ def _element_values(e: VElement, hs: np.ndarray, b0: np.ndarray, b2: np.ndarray)
     return p * b2 + q * b0, np.abs(p) * np.abs(b2) + np.abs(q) * np.abs(b0)
 
 
-# quadrature tolerance of the bisection's element values
-_BISECT_QUAD_TOL = 1e-9
+# relative width in h to which Brent's method refines a sign change
+_XTOL_REL = 1e-10
 
 
-def _bisect_zero(e: VElement, a: float, b: float, fa: float, width: float) -> float:
-    """Refine a bracketed sign change to relative width ``width``."""
-    while (b - a) > width * max(1.0, abs(a), abs(b)):
-        m = 0.5 * (a + b)
-        fm = eval_V(e, m, _BISECT_QUAD_TOL)
-        if fm == 0.0:
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def count_zeros_real(
-    e: VElement,
-    grid: int = 200,
-    tol: float = 1e-12,
-    refine_tol: float = 1e-10,
-) -> ZeroReport:
-    """Sign-change scan with bisection refinement and tangency probing.
+def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroReport:
+    """Sign-change scan with Brent refinement and tangency probing.
 
     The count covers the scan window (equal to the case interval, truncated
     to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
-    Each located zero is bisected to relative width ``refine_tol``.
+    Each located zero is refined by ``scipy.optimize.brentq`` on the
+    element's value at the scan tolerance ``tol``, to a relative width of
+    1e-10.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -218,8 +202,9 @@ def count_zeros_real(
 
     for i, j in zip(reliable, reliable[1:]):
         if sign[i] != sign[j]:
-            z = _bisect_zero(e, float(hs[i]), float(hs[j]), float(vals[i]), refine_tol)
-            locations.append((z, 1))
+            a, b = float(hs[i]), float(hs[j])
+            xtol = _XTOL_REL * max(1.0, abs(a), abs(b))
+            locations.append((brentq(lambda h: eval_V(e, h, tol), a, b, xtol=xtol), 1))
         elif j > i + 1:
             # a sub-noise run with equal reliable signs on both flanks:
             # either an even tangency or an unresolvable dip

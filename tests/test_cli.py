@@ -1,12 +1,17 @@
 """CLI dispatch, schemas, and reproducibility."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from raylien import cli
 from raylien.cli import dispatch, parse_monomial_form
 from raylien.exactalg import PolyXY
-from raylien.forms import OneForm
+from raylien.forms import CASES, OneForm
+from raylien.zeros import VElement, count_zeros_real
 
 
 def run(capsys, *argv):
@@ -201,6 +206,39 @@ def test_zeros_random_batch_records_seed(capsys):
     assert code == 0
     assert out.startswith("# seed=42")
     assert "count,frequency" in out
+
+
+def _random_reports(case_name, n, seed):
+    """The reports behind `zeros --random n --seed seed`, recounted directly."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(n):
+        pc = [Fraction(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+        qc = [Fraction(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+        reports.append(count_zeros_real(VElement.from_coeffs(pc, qc, CASES[case_name])))
+    return reports
+
+
+def test_zeros_random_reports_uncertified(capsys, monkeypatch):
+    reports = _random_reports("global-center", 12, 1)
+    argv = ("zeros", "--case", "global-center", "--random", "12", "--seed", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    uncertified = sum(not rep.certified for rep in reports)
+    assert out.splitlines()[-1] == f"# uncertified={uncertified} of 12"
+    # random elements are nearly always certified: flag every report that
+    # locates a zero, so that the line has something to count
+    scan = cli.count_zeros_real
+
+    def flag_zeros(e, **kwargs):
+        rep = scan(e, **kwargs)
+        return dataclasses.replace(rep, certified=rep.count == 0)
+
+    monkeypatch.setattr(cli, "count_zeros_real", flag_zeros)
+    _, out, _ = run(capsys, *argv)
+    flagged = sum(rep.count > 0 for rep in reports)
+    assert flagged > 0
+    assert out.splitlines()[-1] == f"# uncertified={flagged} of 12"
 
 
 def test_argwind_subcommand(capsys):

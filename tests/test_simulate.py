@@ -3,10 +3,12 @@
 import math
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from raylien import simulate
 from raylien.forms import EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
 from raylien.melnikov import ParamArc, lambdas_for_first_order, melnikov
 from raylien.simulate import (
@@ -115,12 +117,19 @@ def test_e6_arc_has_no_cycles_matching_oracle():
     assert cycles == []
 
 
-def test_single_cycle_constructed_configuration():
+def test_single_cycle_constructed_configuration(monkeypatch):
     p = PolyU.zero("h")
     q = PolyU.from_coeff_list([F(-1), F(1)], "h")  # q = h - 1: one zero at 1
     lam = lambdas_for_first_order(p, q, GLOBAL_CENTER)
     oracle = count_zeros_real(VElement(p, q, GLOBAL_CENTER))
     assert oracle.count == 1
+    returns = []
+
+    def counted(cfg, x0):
+        returns.append(x0)
+        return poincare_return(cfg, x0)
+
+    monkeypatch.setattr(simulate, "poincare_return", counted)
     cfg = SimConfig(GLOBAL_CENTER, tuple(float(c) for c in lam), 2e-3)
     cycles = find_limit_cycles(
         cfg, grid=100, x_window=(section_x_for_h(GLOBAL_CENTER, 0.1),
@@ -128,6 +137,21 @@ def test_single_cycle_constructed_configuration():
     )
     assert len(cycles) == 1
     assert cycles[0][0] == pytest.approx(1.0, abs=5e-3)
+    # the grid plus a few Brent steps per cycle
+    assert len(returns) <= 100 + 10 * len(cycles)
+
+
+def test_solver_failure_is_not_an_escape(monkeypatch):
+    def failing_solve_ivp(*args, **kwargs):
+        return SimpleNamespace(success=False, message="step size too small")
+
+    monkeypatch.setattr(simulate, "solve_ivp", failing_solve_ivp)
+    cfg = SimConfig(GLOBAL_CENTER, (1, 0, 0, 0, 0, 0), 1e-3)
+    for run in (lambda: poincare_return(cfg, 1.0),
+                lambda: find_limit_cycles(cfg, grid=4, x_window=(0.5, 1.5))):
+        with pytest.raises(RuntimeError, match="integration failed") as info:
+            run()
+        assert not isinstance(info.value, EscapeError)
 
 
 def test_constructed_two_cycle_configuration():

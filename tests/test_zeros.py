@@ -63,7 +63,7 @@ def test_constructed_two_zero_element():
     assert zs[1] == pytest.approx(2.0, abs=1e-8)
 
 
-def test_refine_tol_is_the_bisection_width(monkeypatch):
+def test_brent_refinement_work_per_zero(monkeypatch):
     import raylien.zeros as zeros
 
     calls = []
@@ -73,14 +73,13 @@ def test_refine_tol_is_the_bisection_width(monkeypatch):
         return eval_V(e, h, tol)
 
     monkeypatch.setattr(zeros, "eval_V", counted)
-    e = ve([], [-2, 3, -1], GLOBAL_CENTER)
-    fine = count_zeros_real(e)
-    n_fine = len(calls)
-    calls.clear()
-    coarse = count_zeros_real(e, refine_tol=1e-4)
-    assert 0 < len(calls) < n_fine
-    for (z_c, _), (z_f, _) in zip(coarse.locations, fine.locations):
-        assert z_c == pytest.approx(z_f, rel=2e-4)
+    rep = count_zeros_real(ve([], [-2, 3, -1], GLOBAL_CENTER))
+    assert [m for _, m in rep.locations] == [1, 1]
+    for (z, _), target in zip(rep.locations, (1.0, 2.0)):
+        assert z == pytest.approx(target, abs=1e-9)
+    assert len(calls) <= 10 * rep.count
+    with pytest.raises(TypeError):
+        count_zeros_real(ve([], [-2, 3, -1], GLOBAL_CENTER), refine_tol=1e-4)
 
 
 def test_locations_inside_window():
