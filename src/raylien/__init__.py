@@ -48,7 +48,13 @@ from .melnikov import (
     lemma1_product,
     melnikov,
 )
-from .simulate import SimConfig, find_limit_cycles, melnikov_validation, poincare_return
+from .simulate import (
+    SimConfig,
+    find_limit_cycles,
+    melnikov_validation,
+    poincare_return,
+    poincare_scan,
+)
 from .zeros import (
     ContourSpec,
     VElement,

@@ -21,7 +21,7 @@ from .elliptic import case_grid, periods_complex, periods_real, pf_residual
 from .exactalg import MultiPoly, Poly, PolyXY, rat, rat_str
 from .forms import CASES, OneForm, get_case, reduce as reduce_form
 from .melnikov import AllVanishedReport, ParamArc, melnikov
-from .simulate import EscapeError, SimConfig, default_x_window, find_limit_cycles, poincare_return
+from .simulate import SimConfig, default_x_window, find_limit_cycles, poincare_scan
 from .zeros import ContourSpec, VElement, count_zeros_real, winding_number_F
 
 
@@ -265,17 +265,13 @@ def _cmd_simulate(args) -> int:
     lam = tuple(float(c) for c in args.lam.split(","))
     cfg = SimConfig(case=case, lam=lam, eps=args.eps)
     if args.csv:
-        xs = np.linspace(*default_x_window(case), args.grid)
+        samples = poincare_scan(cfg, np.linspace(*default_x_window(case), args.grid))
         print("x0,h,d,return_time")
-        escaped = 0
-        for x0 in xs:
-            try:
-                s = poincare_return(cfg, float(x0))
-            except EscapeError:
-                escaped += 1
-                continue
-            print(f"{s.x0!r},{s.h!r},{s.d!r},{s.return_time!r}")
-        print(f"skipped {escaped} of {len(xs)} start points (escaped)", file=sys.stderr)
+        for s in samples:
+            if s is not None:
+                print(f"{s.x0!r},{s.h!r},{s.d!r},{s.return_time!r}")
+        escaped = samples.count(None)
+        print(f"skipped {escaped} of {len(samples)} start points (escaped)", file=sys.stderr)
         return 0
     cycles = find_limit_cycles(cfg, grid=args.grid)
     _emit(

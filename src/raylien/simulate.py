@@ -1,15 +1,18 @@
 """Direct integration of the perturbed system and limit-cycle detection.
 
 The flow  x' = y,  y' = -a x - b x^3 + eps (l1 + l2 x^2 + l3 y^2 + l4 x^4
-+ l5 y^4 + l6 x^6) y  is integrated with a high-order adaptive scheme; the
-Poincare return to the section {y = 0, x in the case's section range} is
-located by dense-output event root finding (crossings matched by
-orientation, so the half-way crossing on the far side of the oval is never
-mistaken for the return).  The displacement d = H(return) - H(start),
-sampled over the section, locates limit cycles as sign changes, each
-refined by Brent's method (scipy.optimize.brentq); their positions and
-count are cross-validated against the zeros of the predicted
-leading-order coefficient p(h) I2(h) + q(h) I0(h).
++ l5 y^4 + l6 x^6) y  is integrated with DOP853 (8th order); the Poincare
+return to the section {y = 0, x in the case's section range} is the first
+same-orientation crossing after the opposite one, so the half-way crossing
+on the far side of the oval is never mistaken for the return.  A scan over
+the section (:func:`poincare_scan`) integrates all its start points as one
+stacked state, carrying the energy balance E' = dH/dt = eps g(x, y) y^2
+beside each orbit, so its displacement is d = E at the return.  A single
+start point (:func:`poincare_return`) is integrated on its own, with
+d = H(return) - H(start).  Sign changes of the scanned displacement locate
+limit cycles, each refined by Brent's method (scipy.optimize.brentq) on
+single returns; their positions and count are cross-validated against the
+zeros of the predicted leading-order coefficient p(h) I2(h) + q(h) I0(h).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from .elliptic import oval_geometry, periods_real
@@ -32,9 +35,14 @@ __all__ = [
     "section_x_for_h",
     "default_x_window",
     "poincare_return",
+    "poincare_scan",
     "find_limit_cycles",
     "melnikov_validation",
 ]
+
+
+# Brent tolerance on a return time inside one step, as solve_ivp's events use
+_EVENT_TOL = 4 * np.finfo(float).eps
 
 
 class EscapeError(RuntimeError):
@@ -55,17 +63,32 @@ class SimConfig:
             raise ValueError("lam must have 6 entries")
 
     def rhs(self):
+        """The flow's right-hand side f(t, s).
+
+        For one orbit s = (x, y) it returns the tuple (x', y'); for n
+        stacked orbits s = (x_1..x_n, y_1..y_n, E_1..E_n) an array of
+        (x', y', E') with E' = dH/dt.
+        """
         a = float(self.case.a)
         b = float(self.case.b)
         l1, l2, l3, l4, l5, l6 = self.lam
         eps = self.eps
 
         def f(t, s):
-            x, y = s
+            if len(s) == 2:
+                # one orbit (x, y): plain floats beat numpy on a 2-vector
+                x, y = s
+                x2 = x * x
+                y2 = y * y
+                g = l1 + l2 * x2 + l3 * y2 + l4 * x2 * x2 + l5 * y2 * y2 + l6 * x2 * x2 * x2
+                return (y, -a * x - b * x2 * x + eps * g * y)
+            n = len(s) // 3
+            x, y = s[:n], s[n : 2 * n]
             x2 = x * x
             y2 = y * y
             g = l1 + l2 * x2 + l3 * y2 + l4 * x2 * x2 + l5 * y2 * y2 + l6 * x2 * x2 * x2
-            return (y, -a * x - b * x2 * x + eps * g * y)
+            damping = eps * g * y
+            return np.concatenate((y, -a * x - b * x2 * x + damping, damping * y))
 
         return f
 
@@ -163,11 +186,73 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     return DisplacementSample(h=h0, d=float(h1 - h0), return_time=t_accum, x0=x0)
 
 
-def _displacement_or_none(cfg: SimConfig, x0: float):
-    try:
-        return poincare_return(cfg, x0)
-    except EscapeError:
-        return None
+def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
+    """One full return from each start point (x, 0) in xs, as one integration.
+
+    All orbits are stacked into one DOP853 state (x_i, y_i, E_i) with
+    E' = dH/dt = eps g(x, y) y^2, so the displacement d_i is E_i at the
+    return and no difference of two energies is taken.  The return is the
+    first + to - crossing of y after the first - to + crossing, as in
+    :func:`poincare_return`; it is located at the end of a step and its time
+    refined by Brent's method on that step's dense output.  An orbit whose
+    energy is above ``case.h_hi`` at a step end (or at its return), whose
+    return leaves the section range, or which has not returned by
+    ``cfg.max_time`` has escaped: its entry is None.  Each orbit that has
+    returned or escaped is dropped from the state and the solver restarted
+    on the rest, so a runaway orbit never shrinks the others' steps, and the
+    integration stops when every orbit has finished.  A step that DOP853
+    reports as failed raises RuntimeError.
+    """
+    lo, hi = cfg.case.section_range
+    x0 = np.array(xs, dtype=float)
+    if not np.all((lo < x0) & (x0 < hi)):
+        raise ValueError(f"start points outside the section range {(lo, hi)}")
+    samples: list[DisplacementSample | None] = [None] * x0.size
+    f = cfg.rhs()
+    live = np.arange(x0.size)  # indices into xs of the orbits in the state
+    crossed = np.zeros(x0.size, dtype=bool)  # past the far-side crossing
+    solver = DOP853(f, 0.0, np.concatenate((x0, np.zeros(2 * x0.size))), cfg.max_time,
+                    rtol=cfg.rtol, atol=cfg.atol)
+    while live.size and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(
+                f"integration failed from x0 in [{x0[live].min()}, {x0[live].max()}]: {message}"
+            )
+        n = live.size
+        x, y = solver.y[:n], solver.y[n : 2 * n]
+        y_old = solver.y_old[n : 2 * n]
+        crossed[live] |= (y_old < 0) & (y >= 0)
+        returned = crossed[live] & (y_old > 0) & (y <= 0)
+        escaped = cfg.hamiltonian(x, y) > cfg.case.h_hi
+        if returned.any():
+            sol = solver.dense_output()
+            for k in np.flatnonzero(returned):
+                t_ret = brentq(lambda t: sol(t)[n + k], solver.t_old, solver.t,
+                               xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                x1, y1, e1 = sol(t_ret)[k::n]
+                if lo < x1 < hi and cfg.hamiltonian(x1, y1) <= cfg.case.h_hi:
+                    x_start = float(x0[live[k]])
+                    samples[live[k]] = DisplacementSample(
+                        h=cfg.hamiltonian(x_start, 0.0),
+                        d=float(e1),
+                        return_time=float(t_ret),
+                        x0=x_start,
+                    )
+        # a finished orbit leaves the state at once: an escaped one would
+        # run off, and a returned one kept to ride along can run off too
+        done = escaped | returned
+        if done.any():
+            live = live[~done]
+            if live.size and solver.status == "running":
+                # scipy's solver refers to itself through its `fun` closures:
+                # unlinking them frees its arrays now, not at the next cyclic
+                # garbage collection (about 1 MB of peak memory per scan)
+                solver.fun = solver.fun_vectorized = None
+                solver = DOP853(f, solver.t, solver.y.reshape(3, n)[:, ~done].ravel(),
+                                cfg.max_time, rtol=cfg.rtol, atol=cfg.atol,
+                                first_step=min(solver.step_size, cfg.max_time - solver.t))
+    return samples
 
 
 # relative width in x to which Brent's method refines a displacement sign change
@@ -182,17 +267,19 @@ def find_limit_cycles(
     """Limit cycles as (h*, stability) from sign changes of the displacement.
 
     The section window defaults to :func:`default_x_window`; pass x_window
-    to focus the scan.  Each sign change is refined by Brent's method to a
-    relative width of 1e-11 in x (or, if a probe inside it escapes, taken
-    at its midpoint).  Stability follows the sign pattern of d: + to -
-    with increasing h is attracting.  Sign changes whose endpoints both sit
-    below the integrator noise floor are discarded (a cycle whose
+    to focus the scan.  The grid of start points is sampled by one
+    :func:`poincare_scan`.  Each sign change is refined by Brent's method
+    on :func:`poincare_return` to a relative width of 1e-11 in x (or, if a
+    probe inside it escapes, taken at its midpoint); the bracket ends reuse
+    the scanned displacements.  Stability follows the sign pattern of d:
+    + to - with increasing h is attracting.  Sign changes whose endpoints
+    both sit below the integrator noise floor are discarded (a cycle whose
     displacement never rises above the energy drift is not resolvable).
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     xs = np.linspace(*(x_window or default_x_window(cfg.case)), grid)
-    samples = [_displacement_or_none(cfg, float(x)) for x in xs]
+    samples = poincare_scan(cfg, xs)
 
     cycles: list[tuple[float, str]] = []
     for i in range(len(xs) - 1):
@@ -208,8 +295,17 @@ def find_limit_cycles(
         if (s0.d > 0) != (s1.d > 0):
             a, b = float(xs[i]), float(xs[i + 1])
             xtol = _XTOL_REL * max(1.0, abs(b))
+
+            def displacement(x, a=a, b=b, da=s0.d, db=s1.d):
+                # brentq evaluates both ends first: they are already scanned
+                if x == a:
+                    return da
+                if x == b:
+                    return db
+                return poincare_return(cfg, x).d
+
             try:
-                x_star = brentq(lambda x: poincare_return(cfg, x).d, a, b, xtol=xtol)
+                x_star = brentq(displacement, a, b, xtol=xtol)
             except EscapeError:
                 # a probe inside the bracket escaped: fall back to its midpoint
                 x_star = 0.5 * (a + b)
@@ -241,17 +337,18 @@ def melnikov_validation(
         target[i] = float(p(float(h))) * pv.I2 + float(q(float(h))) * pv.I0
     scale = float(np.max(np.abs(target))) or 1.0
     deviations = []
+    xs = [section_x_for_h(case, float(h)) for h in hs]
     for eps in epsilons:
         cfg = SimConfig(case=case, lam=tuple(float(c) for c in lam), eps=eps)
-        dev = 0.0
-        for i, h in enumerate(hs):
-            x0 = section_x_for_h(case, float(h))
-            s = poincare_return(cfg, x0)
-            dev = max(dev, abs(s.d / eps**order - target[i]) / scale)
-        deviations.append(dev)
-    logs = np.log(np.array(deviations))
-    leps = np.log(np.array(epsilons))
-    slope = float(np.polyfit(leps, logs, 1)[0]) if len(epsilons) > 1 else float("nan")
+        samples = poincare_scan(cfg, xs)
+        escaped = [x for x, s in zip(xs, samples) if s is None]
+        if escaped:
+            raise EscapeError(f"escaped annulus: no return from x0={escaped} (eps={eps})")
+        d = np.array([s.d for s in samples])
+        deviations.append(float(np.max(np.abs(d / eps**order - target))) / scale)
+    slope = float("nan")
+    if len(epsilons) > 1:
+        slope = float(np.polyfit(np.log(epsilons), np.log(deviations), 1)[0])
     return {
         "epsilons": tuple(epsilons),
         "max_relative_deviation": tuple(float(d) for d in deviations),

@@ -164,7 +164,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
     Each located zero is refined by ``scipy.optimize.brentq`` on the
     element's value at the scan tolerance ``tol``, to a relative width of
-    1e-10.
+    1e-10; the bracket ends reuse the scanned values.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -204,7 +204,17 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
         if sign[i] != sign[j]:
             a, b = float(hs[i]), float(hs[j])
             xtol = _XTOL_REL * max(1.0, abs(a), abs(b))
-            locations.append((brentq(lambda h: eval_V(e, h, tol), a, b, xtol=xtol), 1))
+
+            def value(h, a=a, b=b, va=float(vals[i]), vb=float(vals[j])):
+                # brentq evaluates both ends first: they are scanned nodes,
+                # reliable, so eval_V there has the same sign
+                if h == a:
+                    return va
+                if h == b:
+                    return vb
+                return eval_V(e, h, tol)
+
+            locations.append((brentq(value, a, b, xtol=xtol), 1))
         elif j > i + 1:
             # a sub-noise run with equal reliable signs on both flanks:
             # either an even tangency or an unresolvable dip

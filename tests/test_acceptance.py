@@ -26,7 +26,15 @@ from raylien.melnikov import (
     lemma1_product,
     melnikov,
 )
-from raylien.simulate import SimConfig, find_limit_cycles, section_x_for_h
+from raylien.simulate import (
+    EscapeError,
+    SimConfig,
+    find_limit_cycles,
+    melnikov_validation,
+    poincare_return,
+    poincare_scan,
+    section_x_for_h,
+)
 from raylien.zeros import VElement, count_zeros_real, scan_grid, winding_number_F
 
 
@@ -375,3 +383,47 @@ def test_criterion_11_simulation_cross_validation():
         print(f"  config {name} {targets}: errors {['%.2e' % e for e in errors]}")
     assert time.time() - t0 < 1800.0
     _report("criterion-11 simulation cross-validation (5 configurations)", t0)
+
+
+def test_stacked_scan_matches_single_returns_on_criterion_11_configurations():
+    """The stacked scan's displacements are the single returns' to 1e-9.
+
+    DOP853 controls the RMS error over all stacked components, so the
+    per-orbit accuracy is checked here rather than assumed.
+    """
+    t0 = time.time()
+    worst = 0.0
+    for name, targets, window in CONFIGS:
+        case = CASES[name]
+        p, q = _interpolated_element(case, targets)
+        lam, _ = _normalized_lambda(p, q, case)
+        cfg = SimConfig(case, tuple(float(c) for c in lam), 1e-2)
+        xs = np.linspace(section_x_for_h(case, window[0]), section_x_for_h(case, window[1]), 100)
+        for x, s in zip(xs, poincare_scan(cfg, xs)):
+            try:
+                ref = poincare_return(cfg, float(x))
+            except EscapeError:
+                ref = None
+            assert (s is None) == (ref is None), (name, targets, x)
+            if ref is not None:
+                assert (s.d > 0) == (ref.d > 0), (name, targets, x, s.d, ref.d)
+                assert abs(s.d - ref.d) <= 1e-9, (name, targets, x, s.d, ref.d)
+                worst = max(worst, abs(s.d - ref.d))
+    _report("stacked scan vs single returns (5 configurations)", t0, f"max |dd| {worst:.1e}")
+
+
+def test_order_3_simulation_cross_validation():
+    """The centre-direction arc eps (0, -3a, 1, -3b, 0, 0) on the global
+    centre has M_1 = M_2 = 0; the simulated d/eps^3 converges to M_3."""
+    t0 = time.time()
+    case = CASES["global-center"]
+    lam = (0, -3 * case.a, 1, -3 * case.b, 0, 0)
+    res = melnikov(ParamArc.linear(list(lam)), case)
+    assert res.order == 3
+    rep = melnikov_validation(case, tuple(float(c) for c in lam), 3, res.p, res.q,
+                              epsilons=(4e-2, 2e-2, 1e-2))
+    devs = rep["max_relative_deviation"]
+    assert devs[-1] < 2e-3, devs
+    assert rep["convergence_order"] > 0.8, rep
+    _report("order-3 simulation cross-validation", t0,
+            f"deviations {['%.1e' % d for d in devs]}, slope {rep['convergence_order']:.2f}")

@@ -272,33 +272,36 @@ def test_simulate_subcommand_csv(capsys):
 
 def test_simulate_csv_counts_escapes(monkeypatch, capsys):
     from raylien import cli
-    from raylien.simulate import EscapeError
 
-    real_return = cli.poincare_return
-    calls = []
+    real_scan = cli.poincare_scan
 
-    def escape_every_other(cfg, x0):
-        calls.append(x0)
-        if len(calls) % 2 == 0:
-            raise EscapeError("escaped annulus")
-        return real_return(cfg, x0)
+    def escape_every_other(cfg, xs):
+        return [None if i % 2 else s for i, s in enumerate(real_scan(cfg, xs))]
 
-    monkeypatch.setattr(cli, "poincare_return", escape_every_other)
+    monkeypatch.setattr(cli, "poincare_scan", escape_every_other)
     code, out, err = run(capsys, "simulate", "--case", "global-center",
                          "--lambda", "0,0,0,0,0,0", "--eps", "0", "--grid", "5",
                          "--csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 3
     assert "skipped 2 of 5 start points" in err
+    monkeypatch.undo()
+    # a real escape: the outermost start point is pumped across the separatrix
+    code, out, err = run(capsys, "simulate", "--case", "truncated-pendulum",
+                         "--lambda", "1,-1,0,0,0,0", "--eps", "0.01", "--grid", "6",
+                         "--csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 5
+    assert "skipped 1 of 6 start points" in err
 
 
 def test_simulate_csv_does_not_swallow_other_errors(monkeypatch, capsys):
     from raylien import cli
 
-    def broken(cfg, x0):
+    def broken(cfg, xs):
         raise RuntimeError("integrator blew up")
 
-    monkeypatch.setattr(cli, "poincare_return", broken)
+    monkeypatch.setattr(cli, "poincare_scan", broken)
     code, out, err = run(capsys, "simulate", "--case", "global-center",
                          "--lambda", "0,0,0,0,0,0", "--eps", "0", "--grid", "5",
                          "--csv")

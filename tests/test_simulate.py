@@ -14,9 +14,11 @@ from raylien.melnikov import ParamArc, lambdas_for_first_order, melnikov
 from raylien.simulate import (
     EscapeError,
     SimConfig,
+    default_x_window,
     find_limit_cycles,
     melnikov_validation,
     poincare_return,
+    poincare_scan,
     section_x_for_h,
 )
 from raylien.zeros import VElement, count_zeros_real
@@ -69,6 +71,42 @@ def test_orbit_pumped_across_the_separatrix_escapes_promptly(x0):
     with pytest.raises(EscapeError, match="rose above"):
         poincare_return(cfg, x0)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_stacked_scan_drops_escaped_orbits(monkeypatch):
+    """Orbits pumped across the separatrix leave the stacked state.
+
+    An escaped truncated-pendulum orbit runs off to infinity; kept in the
+    state it would shrink every step.  The scan needs about 900 RHS calls
+    here, so the guard turns a missing drop into a failure, not a hang.
+    """
+    cfg = SimConfig(TRUNCATED_PENDULUM, (1, -1, 0, 0, 0, 0), 0.01)
+    xs = np.linspace(*default_x_window(TRUNCATED_PENDULUM), 100)
+    make_rhs = SimConfig.rhs
+
+    def guarded_rhs(config):
+        f = make_rhs(config)
+        calls = []
+
+        def rhs(t, s):
+            calls.append(t)
+            if len(calls) > 20_000:
+                raise AssertionError("stacked scan still integrating after 20000 RHS calls")
+            return f(t, s)
+
+        return rhs
+
+    monkeypatch.setattr(SimConfig, "rhs", guarded_rhs)
+    stacked = poincare_scan(cfg, xs)
+    monkeypatch.undo()
+    escaped = []
+    for i, x in enumerate(xs):
+        try:
+            poincare_return(cfg, float(x))
+        except EscapeError:
+            escaped.append(i)
+    assert escaped
+    assert [i for i, s in enumerate(stacked) if s is None] == escaped
 
 
 def test_central_symmetry_of_eight_interior():
@@ -131,23 +169,33 @@ def test_single_cycle_constructed_configuration(monkeypatch):
 
     monkeypatch.setattr(simulate, "poincare_return", counted)
     cfg = SimConfig(GLOBAL_CENTER, tuple(float(c) for c in lam), 2e-3)
-    cycles = find_limit_cycles(
-        cfg, grid=100, x_window=(section_x_for_h(GLOBAL_CENTER, 0.1),
-                                section_x_for_h(GLOBAL_CENTER, 5.0))
-    )
+    x_window = (section_x_for_h(GLOBAL_CENTER, 0.1), section_x_for_h(GLOBAL_CENTER, 5.0))
+    cycles = find_limit_cycles(cfg, grid=100, x_window=x_window)
     assert len(cycles) == 1
     assert cycles[0][0] == pytest.approx(1.0, abs=5e-3)
-    # the grid plus a few Brent steps per cycle
-    assert len(returns) <= 100 + 10 * len(cycles)
+    # the grid is one stacked scan; single returns are a few Brent steps per
+    # cycle, none of them at a bracket end the scan already sampled
+    assert len(returns) <= 10 * len(cycles)
+    assert not set(returns) & set(np.linspace(*x_window, 100).tolist())
 
 
 def test_solver_failure_is_not_an_escape(monkeypatch):
     def failing_solve_ivp(*args, **kwargs):
         return SimpleNamespace(success=False, message="step size too small")
 
+    class FailingStepper:
+        def __init__(self, *args, **kwargs):
+            self.status = "running"
+
+        def step(self):
+            self.status = "failed"
+            return "step size too small"
+
     monkeypatch.setattr(simulate, "solve_ivp", failing_solve_ivp)
+    monkeypatch.setattr(simulate, "DOP853", FailingStepper)
     cfg = SimConfig(GLOBAL_CENTER, (1, 0, 0, 0, 0, 0), 1e-3)
     for run in (lambda: poincare_return(cfg, 1.0),
+                lambda: poincare_scan(cfg, [0.5, 1.0]),
                 lambda: find_limit_cycles(cfg, grid=4, x_window=(0.5, 1.5))):
         with pytest.raises(RuntimeError, match="integration failed") as info:
             run()

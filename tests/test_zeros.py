@@ -78,6 +78,8 @@ def test_brent_refinement_work_per_zero(monkeypatch):
     for (z, _), target in zip(rep.locations, (1.0, 2.0)):
         assert z == pytest.approx(target, abs=1e-9)
     assert len(calls) <= 10 * rep.count
+    # the bracket ends are scan nodes whose values the scan already holds
+    assert not set(calls) & set(scan_grid(GLOBAL_CENTER, 200).tolist())
     with pytest.raises(TypeError):
         count_zeros_real(ve([], [-2, 3, -1], GLOBAL_CENTER), refine_tol=1e-4)
 
