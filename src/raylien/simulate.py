@@ -45,6 +45,18 @@ __all__ = [
 _EVENT_TOL = 4 * np.finfo(float).eps
 
 
+# energy above which an orbit on an unbounded annulus counts as a runaway:
+# far above every section window, and low enough that DOP853 still steps
+# there (a blow-up in finite time can pass H = 4e7 one step before the
+# step size underflows)
+_RUNAWAY_H = 1e6
+
+
+def _escape_level(case: AnnulusCase) -> float:
+    """The energy above which an orbit has left the annulus."""
+    return case.h_hi if math.isfinite(case.h_hi) else _RUNAWAY_H
+
+
 class EscapeError(RuntimeError):
     """The trajectory left the annulus without returning to the section."""
 
@@ -125,10 +137,11 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
 
     Integrates to the opposite-orientation crossing first and on to the
     next same-orientation crossing, so the start point itself never
-    triggers the event.  On an annulus bounded above, an orbit whose energy
-    rises through the upper level ``case.h_hi`` raises EscapeError there.
-    An integration that solve_ivp reports as failed raises RuntimeError,
-    which is not an escape.
+    triggers the event.  An orbit whose energy rises through the upper
+    level ``case.h_hi`` raises EscapeError there; on an unbounded annulus
+    the level is H = 1e6, above which an orbit is taken as a runaway.  An
+    integration that solve_ivp reports as failed raises RuntimeError, which
+    is not an escape.
     """
     lo, hi = cfg.case.section_range
     if not (lo < x0 < hi):
@@ -141,17 +154,16 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
 
     # all four cases cross the section downward (y' < 0 at the start)
     y_event.terminal = True
-    events = [y_event]
-    h_hi = cfg.case.h_hi
-    if math.isfinite(h_hi):
-        # rising through the annulus' upper level means leaving it: stop
-        # there instead of following the escaping orbit to max_time
-        def escape_event(t, s):
-            return cfg.hamiltonian(s[0], s[1]) - h_hi
+    h_escape = _escape_level(cfg.case)
 
-        escape_event.terminal = True
-        escape_event.direction = 1
-        events.append(escape_event)
+    # rising through the escape level means leaving the annulus: stop there
+    # instead of following the escaping orbit to max_time or to a blow-up
+    def escape_event(t, s):
+        return cfg.hamiltonian(s[0], s[1]) - h_escape
+
+    escape_event.terminal = True
+    escape_event.direction = 1
+    events = [y_event, escape_event]
 
     legs = (+1, -1)
     state = (x0, 0.0)
@@ -170,8 +182,8 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
         )
         if not sol.success:
             raise RuntimeError(f"integration failed from x0={x0}: {sol.message}")
-        if len(events) > 1 and sol.t_events[1].size:
-            raise EscapeError(f"escaped annulus: H rose above {h_hi} from x0={x0}")
+        if sol.t_events[1].size:
+            raise EscapeError(f"escaped annulus: H rose above {h_escape} from x0={x0}")
         if sol.t_events[0].size == 0:
             raise EscapeError(
                 f"escaped annulus: no return from x0={x0} within t={cfg.max_time}"
@@ -195,12 +207,13 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     first + to - crossing of y after the first - to + crossing, as in
     :func:`poincare_return`; it is located at the end of a step and its time
     refined by Brent's method on that step's dense output.  An orbit whose
-    energy is above ``case.h_hi`` at a step end (or at its return), whose
-    return leaves the section range, or which has not returned by
-    ``cfg.max_time`` has escaped: its entry is None.  Each orbit that has
-    returned or escaped is dropped from the state and the solver restarted
-    on the rest, so a runaway orbit never shrinks the others' steps, and the
-    integration stops when every orbit has finished.  A step that DOP853
+    energy is above ``case.h_hi`` (H = 1e6 on an unbounded annulus, as in
+    :func:`poincare_return`) at a step end or at its return, whose return
+    leaves the section range, or which has not returned by ``cfg.max_time``
+    has escaped: its entry is None.  Each orbit that has returned or
+    escaped is dropped from the state and the solver restarted on the rest,
+    so a runaway orbit never shrinks the others' steps, and the integration
+    stops when every orbit has finished.  A step that DOP853
     reports as failed raises RuntimeError.
     """
     lo, hi = cfg.case.section_range
@@ -208,6 +221,7 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     if not np.all((lo < x0) & (x0 < hi)):
         raise ValueError(f"start points outside the section range {(lo, hi)}")
     samples: list[DisplacementSample | None] = [None] * x0.size
+    h_escape = _escape_level(cfg.case)
     f = cfg.rhs()
     live = np.arange(x0.size)  # indices into xs of the orbits in the state
     crossed = np.zeros(x0.size, dtype=bool)  # past the far-side crossing
@@ -224,14 +238,14 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
         y_old = solver.y_old[n : 2 * n]
         crossed[live] |= (y_old < 0) & (y >= 0)
         returned = crossed[live] & (y_old > 0) & (y <= 0)
-        escaped = cfg.hamiltonian(x, y) > cfg.case.h_hi
+        escaped = cfg.hamiltonian(x, y) > h_escape
         if returned.any():
             sol = solver.dense_output()
             for k in np.flatnonzero(returned):
                 t_ret = brentq(lambda t: sol(t)[n + k], solver.t_old, solver.t,
                                xtol=_EVENT_TOL, rtol=_EVENT_TOL)
                 x1, y1, e1 = sol(t_ret)[k::n]
-                if lo < x1 < hi and cfg.hamiltonian(x1, y1) <= cfg.case.h_hi:
+                if lo < x1 < hi and cfg.hamiltonian(x1, y1) <= h_escape:
                     x_start = float(x0[live[k]])
                     samples[live[k]] = DisplacementSample(
                         h=cfg.hamiltonian(x_start, 0.0),
@@ -255,8 +269,11 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     return samples
 
 
-# relative width in x to which Brent's method refines a displacement sign change
-_XTOL_REL = 1e-11
+# relative width in x to which Brent's method refines a displacement sign
+# change: poincare_return's d = H(return) - H(start) carries about 1e-11 of
+# cancellation noise, which moves h* by up to about 1e-7, so a finer width
+# only costs returns
+_XTOL_REL = 1e-9
 
 
 def find_limit_cycles(
@@ -269,7 +286,7 @@ def find_limit_cycles(
     The section window defaults to :func:`default_x_window`; pass x_window
     to focus the scan.  The grid of start points is sampled by one
     :func:`poincare_scan`.  Each sign change is refined by Brent's method
-    on :func:`poincare_return` to a relative width of 1e-11 in x (or, if a
+    on :func:`poincare_return` to a relative width of 1e-9 in x (or, if a
     probe inside it escapes, taken at its midpoint); the bracket ends reuse
     the scanned displacements.  Stability follows the sign pattern of d:
     + to - with increasing h is attracting.  Sign changes whose endpoints

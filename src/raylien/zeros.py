@@ -3,7 +3,12 @@
 Real intervals are scanned on a log-graded grid with Brent refinement;
 near-tangencies are probed with the derivative element (exact via the
 Picard-Fuchs relations on the eight-loop annuli, finite differences
-elsewhere) and reported as multiplicity-2 candidates.  On the eight-loop
+elsewhere) and reported as multiplicity-2 candidates.  The grid's periods
+are computed once per case and cached; an element's values there and the
+classification of its nodes (reliable or sub-noise, sign flips, dips) are
+array passes, so only the few flagged node pairs cost Python work.  Each
+element converts its coefficients to floats once, for the scan, the
+pointwise value :func:`eval_V` and the winding alike.  On the eight-loop
 exterior the derivative combination J = ptilde J2 + qtilde J0 is also
 counted in the cut plane by the argument principle: the winding of
 F = ptilde J2/J0 + qtilde along the boundary of a truncated cut plane
@@ -24,7 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
@@ -48,18 +53,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VElement:
-    """p(h) I2 + q(h) I0 (basis='I') or p(h) J2 + q(h) J0 (basis='J')."""
+    """p(h) I2 + q(h) I0 (basis='I') or p(h) J2 + q(h) J0 (basis='J').
+
+    ``pc`` and ``qc`` are the coefficients of p and q as floats, in
+    np.polyval's order (c2, c1, c0), converted once for every numeric
+    evaluation of the element.
+    """
 
     p: Poly
     q: Poly
     case: AnnulusCase
     basis: str = "I"
+    pc: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    qc: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p.degree() > 2 or self.q.degree() > 2:
             raise ValueError("degrees must be <= 2")
         if self.basis not in ("I", "J"):
             raise ValueError("basis must be 'I' or 'J'")
+        for name, poly in (("pc", self.p), ("qc", self.q)):
+            object.__setattr__(self, name, tuple(float(poly[k]) for k in (2, 1, 0)))
 
     def is_zero(self) -> bool:
         return self.p.is_zero() and self.q.is_zero()
@@ -85,12 +99,23 @@ class ZeroReport:
     notes: str = ""
 
 
+def _horner(c: tuple[float, float, float], h):
+    """c2 h^2 + c1 h + c0 at a real h or array of h, bit for bit np.polyval(c, h).
+
+    eval_V and the scan share it, so a value at a scan node is the scan's
+    value there.
+    """
+    c2, c1, c0 = c
+    return (c2 * h + c1) * h + c0
+
+
 def eval_V(e: VElement, h: float, tol: float = 1e-12) -> float:
     """Value of the element at h (quadrature-backed)."""
     pv = periods_real(e.case, h, tol)
+    p, q = _horner(e.pc, h), _horner(e.qc, h)
     if e.basis == "I":
-        return float(e.p(h)) * pv.I2 + float(e.q(h)) * pv.I0
-    return float(e.p(h)) * pv.J2 + float(e.q(h)) * pv.J0
+        return p * pv.I2 + q * pv.I0
+    return p * pv.J2 + q * pv.J0
 
 
 def derivative_element(e: VElement) -> VElement:
@@ -148,8 +173,7 @@ def _grid_periods(case: AnnulusCase, n: int, tol: float):
 
 
 def _element_values(e: VElement, hs: np.ndarray, b0: np.ndarray, b2: np.ndarray):
-    p = np.polyval([float(e.p[k]) for k in (2, 1, 0)], hs)
-    q = np.polyval([float(e.q[k]) for k in (2, 1, 0)], hs)
+    p, q = _horner(e.pc, hs), _horner(e.qc, hs)
     return p * b2 + q * b0, np.abs(p) * np.abs(b2) + np.abs(q) * np.abs(b0)
 
 
@@ -162,9 +186,15 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
 
     The count covers the scan window (equal to the case interval, truncated
     to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
-    Each located zero is refined by ``scipy.optimize.brentq`` on the
-    element's value at the scan tolerance ``tol``, to a relative width of
-    1e-10; the bracket ends reuse the scanned values.
+    A node is reliable when its value is above the float/quadrature noise
+    floor.  Between consecutive reliable nodes, a sign flip is a zero,
+    refined by ``scipy.optimize.brentq`` on the element's value at the scan
+    tolerance ``tol`` to a relative width of 1e-10 (the bracket ends reuse
+    the scanned values); equal signs across a sub-noise run go to the
+    tangency probe.  A reliable node whose value dips under the quadrature
+    noise between reliable neighbours of the same sign is probed too.  The
+    nodes are classified in array passes; only those pairs and dips are
+    visited one by one, in node order, flips and runs before dips.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -184,8 +214,10 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     notes = []
 
     sign = np.sign(vals)
-    reliable = [i for i in range(len(hs)) if abs(vals[i]) > floor[i]]
-    if not reliable:
+    mag = np.abs(vals)
+    ok = mag > floor
+    reliable = np.flatnonzero(ok)
+    if not reliable.size:
         return ZeroReport(
             count=0,
             locations=(),
@@ -200,8 +232,14 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     if reliable[-1] < len(hs) - 1:
         notes.append(f"sub-noise values above h={hs[reliable[-1]]:.3g} (unresolvable)")
 
-    for i, j in zip(reliable, reliable[1:]):
-        if sign[i] != sign[j]:
+    # consecutive reliable nodes (i, j): a sign flip goes to Brent; equal
+    # signs across a sub-noise run (j > i + 1) are either an even tangency
+    # or an unresolvable dip
+    left, right = reliable[:-1], reliable[1:]
+    flips = sign[left] != sign[right]
+    for k in np.flatnonzero(flips | (right > left + 1)):
+        i, j = int(left[k]), int(right[k])
+        if flips[k]:
             a, b = float(hs[i]), float(hs[j])
             xtol = _XTOL_REL * max(1.0, abs(a), abs(b))
 
@@ -215,9 +253,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
                 return eval_V(e, h, tol)
 
             locations.append((brentq(value, a, b, xtol=xtol), 1))
-        elif j > i + 1:
-            # a sub-noise run with equal reliable signs on both flanks:
-            # either an even tangency or an unresolvable dip
+        else:
             h_mid = float(hs[(i + j) // 2])
             mult = _probe_tangency(e, float(hs[i]), float(hs[j]), tol)
             if mult == 2:
@@ -229,19 +265,14 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
 
     # near-tangency candidates among reliable nodes: |value| dips under the
     # quadrature noise with no sign change around it
-    rel_set = set(reliable)
-    dips = [
-        i
-        for i in range(1, len(hs) - 1)
-        if i in rel_set
-        and (i - 1) in rel_set
-        and (i + 1) in rel_set
-        and abs(vals[i]) < 10.0 * noise[i]
-        and abs(vals[i]) <= abs(vals[i - 1])
-        and abs(vals[i]) <= abs(vals[i + 1])
-        and sign[i - 1] == sign[i] == sign[i + 1]
-    ]
-    for i in dips:
+    mid = mag[1:-1]
+    dip = (
+        ok[:-2] & ok[1:-1] & ok[2:]
+        & (mid < 10.0 * noise[1:-1])
+        & (mid <= mag[:-2]) & (mid <= mag[2:])
+        & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+    )
+    for i in np.flatnonzero(dip) + 1:
         mult = _probe_tangency(e, float(hs[i - 1]), float(hs[i + 1]), tol)
         if mult == 2:
             locations.append((float(hs[i]), 2))
@@ -401,8 +432,7 @@ def winding_number_F(e_tilde: VElement, contour: ContourSpec | None = None) -> t
     spec = contour or ContourSpec()
     table = _contour_table(spec)
 
-    pc = [float(e_tilde.p[k]) for k in (2, 1, 0)]
-    qc = [float(e_tilde.q[k]) for k in (2, 1, 0)]
+    pc, qc = e_tilde.pc, e_tilde.qc
 
     def F_of(hs, ratio):
         """F at one h or an array of h; raises at the first near-zero."""

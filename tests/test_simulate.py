@@ -109,6 +109,34 @@ def test_stacked_scan_drops_escaped_orbits(monkeypatch):
     assert [i for i, s in enumerate(stacked) if s is None] == escaped
 
 
+def test_runaway_orbits_on_an_unbounded_annulus_escape(monkeypatch):
+    """An orbit that blows up in finite time escapes; it fails no scan.
+
+    With g = y^4 every orbit gains energy, E' grows like H^3 at large H and
+    the outer orbits of the global centre run off in finite time.  Above
+    H = 1e6 they count as escaped, in the stacked scan and in single returns
+    alike, before the step size underflows.
+    """
+    cfg = SimConfig(GLOBAL_CENTER, (0, 0, 0, 0, 1, 0), 0.01)
+    scans = []
+
+    def recorded(config, xs):
+        scans.append((xs, poincare_scan(config, xs)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(simulate, "poincare_scan", recorded)
+    assert find_limit_cycles(cfg, grid=30) == []
+    ((xs, stacked),) = scans
+    escaped = []
+    for i, x in enumerate(xs):
+        try:
+            poincare_return(cfg, float(x))
+        except EscapeError:
+            escaped.append(i)
+    assert len(escaped) == 12
+    assert [i for i, s in enumerate(stacked) if s is None] == escaped
+
+
 def test_central_symmetry_of_eight_interior():
     """Displacement at (x0, 0) equals the reflected trajectory's at (-x0, 0)."""
     from scipy.integrate import solve_ivp

@@ -3,10 +3,16 @@
 import dataclasses
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from raylien import zeros
 
 from raylien.elliptic import _ts_level, periods_real
 from raylien.exactalg import PolyU
@@ -14,6 +20,7 @@ from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER
 from raylien.zeros import (
     ContourSpec,
     VElement,
+    ZeroReport,
     _ContourTable,
     _contour_table,
     _grid_periods,
@@ -22,6 +29,7 @@ from raylien.zeros import (
     derivative_element,
     eval_V,
     scan_grid,
+    scan_window,
     winding_number_F,
 )
 
@@ -146,15 +154,8 @@ def test_random_elements_respect_the_bound(case_name):
         assert rep.count <= case.zero_bound
 
 
-def test_near_tangency_at_a_node_is_flagged():
-    """A double zero sitting on a scan node is reported with multiplicity 2.
-
-    (A generic exact tangency has a sub-noise well far narrower than any
-    grid spacing; the detector promises candidates only when the dip is
-    sampled, so the fixture places the tangency on a node.)
-    """
-    from raylien.zeros import scan_grid
-
+def _node_tangency_element():
+    """I2 + q I0 on the eight exterior with a double zero on the node nearest 1.3."""
     case = EIGHT_EXTERIOR
     hs = scan_grid(case, 200)
     h0 = float(hs[np.searchsorted(hs, 1.3)])
@@ -164,13 +165,205 @@ def test_near_tangency_at_a_node_is_flagged():
     # G = Z + q with q(h0) = -Z(h0), q'(h0) = -Z'(h0): double zero at h0
     q1 = F(-dz)
     q0 = F(-z) - q1 * F(h0)
-    e = ve([F(1)], [q0, q1], case)
+    return ve([F(1)], [q0, q1], case), h0
+
+
+def test_near_tangency_at_a_node_is_flagged():
+    """A double zero sitting on a scan node is reported with multiplicity 2.
+
+    (A generic exact tangency has a sub-noise well far narrower than any
+    grid spacing; the detector promises candidates only when the dip is
+    sampled, so the fixture places the tangency on a node.)
+    """
+    e, h0 = _node_tangency_element()
     rep = count_zeros_real(e)
     near = [(h, m) for h, m in rep.locations if abs(h - h0) < 1e-3 * h0]
     if rep.certified:
         assert sum(m for _, m in near) == 2
     else:
         assert "near-tangency" in rep.notes
+
+
+# -- the node classification against per-node loops ----------------------------
+
+
+def _scalar_scan(e, grid=200, tol=1e-12):
+    """Reference: count_zeros_real with the node classification as per-node loops."""
+    case = e.case
+    hs, I0, I2, J0, J2 = zeros._grid_periods(case, grid, tol)
+    base0, base2 = (I0, I2) if e.basis == "I" else (J0, J2)
+    vals, mags = zeros._element_values(e, hs, base0, base2)
+    floor = 1e-13 * mags + 1e-306
+    noise = tol * mags + 1e-306
+    locations, certified, notes = [], True, []
+    sign = np.sign(vals)
+    reliable = [i for i in range(len(hs)) if abs(vals[i]) > floor[i]]
+    if not reliable:
+        return ZeroReport(0, (), "real-scan", case.zero_bound, False, scan_window(case),
+                          "all scan values below the noise floor")
+    if reliable[0] > 0:
+        notes.append(f"sub-noise values below h={hs[reliable[0]]:.3g} (unresolvable)")
+    if reliable[-1] < len(hs) - 1:
+        notes.append(f"sub-noise values above h={hs[reliable[-1]]:.3g} (unresolvable)")
+    for i, j in zip(reliable, reliable[1:]):
+        if sign[i] != sign[j]:
+            a, b = float(hs[i]), float(hs[j])
+
+            def value(h, a=a, b=b, va=float(vals[i]), vb=float(vals[j])):
+                return va if h == a else vb if h == b else zeros.eval_V(e, h, tol)
+
+            xtol = zeros._XTOL_REL * max(1.0, abs(a), abs(b))
+            locations.append((brentq(value, a, b, xtol=xtol), 1))
+        elif j > i + 1:
+            h_mid = float(hs[(i + j) // 2])
+            if zeros._probe_tangency(e, float(hs[i]), float(hs[j]), tol) == 2:
+                locations.append((h_mid, 2))
+                notes.append(f"multiplicity-2 candidate at h={h_mid:.6g}")
+            else:
+                certified = False
+                notes.append(f"unresolved near-tangency at h={h_mid:.6g}")
+    rel_set = set(reliable)
+    dips = [
+        i
+        for i in range(1, len(hs) - 1)
+        if i in rel_set
+        and (i - 1) in rel_set
+        and (i + 1) in rel_set
+        and abs(vals[i]) < 10.0 * noise[i]
+        and abs(vals[i]) <= abs(vals[i - 1])
+        and abs(vals[i]) <= abs(vals[i + 1])
+        and sign[i - 1] == sign[i] == sign[i + 1]
+    ]
+    for i in dips:
+        mult = zeros._probe_tangency(e, float(hs[i - 1]), float(hs[i + 1]), tol)
+        if mult == 2:
+            locations.append((float(hs[i]), 2))
+            notes.append(f"multiplicity-2 candidate at h={hs[i]:.6g}")
+        elif mult < 0:
+            certified = False
+            notes.append(f"unresolved near-tangency at h={hs[i]:.6g}")
+    locations.sort()
+    count = sum(m for _, m in locations)
+    return ZeroReport(count, tuple(locations), "real-scan", case.zero_bound,
+                      certified and count <= case.zero_bound, scan_window(case),
+                      "; ".join(notes))
+
+
+def _edit_values(vals, mags, hs, kind):
+    """Scan values edited so that one branch of the classification is taken.
+
+    Values are set relative to the node magnitude M: a node is reliable
+    above 1e-13 M and a dip candidate below 1e-11 M.
+    """
+    k = int(np.searchsorted(hs, 10.0))  # vals < 0 around h = 10
+    s = math.copysign(1.0, vals[k])
+    M = mags[k]
+    if kind == "all sub-noise":
+        vals[:] = 0.0
+    elif kind == "one sub-noise node at each end":
+        vals[0] = vals[-1] = 0.0
+    elif kind == "sub-noise run between equal signs":
+        vals[k : k + 3] = 0.0
+    elif kind == "sub-noise run across a sign change":
+        j = int(np.searchsorted(hs, 1.0))
+        vals[j - 1 : j + 2] = 0.0
+    elif kind == "reliable dip":
+        vals[k] = s * 5e-13 * M
+    elif kind == "uneven well":
+        # only the middle node is below both neighbours
+        mags[k - 1 : k + 2] = M
+        vals[k - 1 : k + 2] = s * np.array([4e-12, 2e-12, 3e-12]) * M
+    elif kind == "well above the noise":
+        mags[k - 1 : k + 2] = M
+        vals[k - 1 : k + 2] = s * np.array([4e-11, 2e-11, 3e-11]) * M
+    elif kind == "small nodes beside sign changes":
+        # a flip to the left of node k and to the right of node k + 10
+        vals[k] = s * 5e-13 * M
+        vals[k - 1] = -vals[k - 1]
+        vals[k + 10] = s * 5e-13 * mags[k + 10]
+        vals[k + 11] = -vals[k + 11]
+    elif kind == "small node beside a sub-noise node":
+        # node k is low enough for a dip, but its left neighbour is sub-noise
+        mags[k - 1] = 10.0 * M
+        vals[k - 1] = s * 5e-13 * M
+        vals[k] = s * 2e-13 * M
+
+
+_EXPECTED_NOTE = {
+    "all sub-noise": "all scan values below the noise floor",
+    "one sub-noise node at each end": "sub-noise values below",
+    "sub-noise run between equal signs": "near-tangency",
+    "sub-noise run across a sign change": "",
+    "reliable dip": "near-tangency",
+    "uneven well": "near-tangency",
+    "small node beside a sub-noise node": "near-tangency",
+    "well above the noise": "",
+    "small nodes beside sign changes": "",
+}
+
+
+def test_vectorised_scan_matches_scalar_reference(monkeypatch):
+    elements = []
+    for name in sorted(CASES):
+        rng = np.random.default_rng(20260810)
+        for k in range(30):
+            pc = [F(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+            qc = [F(str(round(float(c), 6))) for c in rng.uniform(-1, 1, 3)]
+            elements.append(ve(pc, qc, CASES[name], "IJ"[k % 2]))
+    elements.append(ve([], [-2, 3, -1], GLOBAL_CENTER))
+    tangent, h0 = _node_tangency_element()
+    elements.append(tangent)
+    for e in elements:
+        assert count_zeros_real(e) == _scalar_scan(e)
+    # the fixture's double zero is a reliable dip
+    assert f"at h={h0:.6g}" in count_zeros_real(tangent).notes
+
+    # edited scan values reach the branches random elements do not: both
+    # sides read the same edited values through the patched module name
+    e = ve([], [-2, 3, -1], GLOBAL_CENTER)
+    element_values = zeros._element_values
+    for kind, note in _EXPECTED_NOTE.items():
+
+        def edited(el, hs, b0, b2, kind=kind):
+            vals, mags = element_values(el, hs, b0, b2)
+            _edit_values(vals, mags, hs, kind)
+            return vals, mags
+
+        monkeypatch.setattr(zeros, "_element_values", edited)
+        rep = count_zeros_real(e)
+        assert rep == _scalar_scan(e), kind
+        assert note in rep.notes if note else not rep.notes, kind
+
+
+_coeffs = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=8), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CASES)),
+    st.sampled_from("IJ"),
+    _coeffs,
+    _coeffs,
+    st.one_of(st.floats(0.01, 0.99), st.sampled_from((0.125, 0.25, 0.5, 0.75))),
+)
+def test_float_coefficient_eval_is_the_exact_polynomials_rounded(name, basis, pc, qc, u):
+    """eval_V is float(p(h)) B2 + float(q(h)) B0 bit for bit, negative h included.
+
+    The zero element is left out: the scan refuses it, and Poly evaluates a
+    zero polynomial to 0*h, which is -0.0 at negative h.
+    """
+    case = CASES[name]
+    e = ve(pc, qc, case, basis)
+    assume(not e.is_zero())
+    h = case.h_lo + u * (min(case.h_hi, 20.0) - case.h_lo)
+    pv = periods_real(case, h, 1e-12)
+    b2, b0 = (pv.I2, pv.I0) if basis == "I" else (pv.J2, pv.J0)
+    exact = float(e.p(h)) * b2 + float(e.q(h)) * b0
+    assert struct.pack("<d", eval_V(e, h)) == struct.pack("<d", exact)
+    # the scan's array form is np.polyval's, bit for bit
+    hs = np.array([h, -h, 2.0 * h])
+    for c in (e.pc, e.qc):
+        assert zeros._horner(c, hs).tobytes() == np.polyval(c, hs).tobytes()
 
 
 # -- argument principle -------------------------------------------------------
