@@ -5,24 +5,31 @@ The flow  x' = y,  y' = -a x - b x^3 + eps (l1 + l2 x^2 + l3 y^2 + l4 x^4
 return to the section {y = 0, x in the case's section range} is the first
 same-orientation crossing after the opposite one, so the half-way crossing
 on the far side of the oval is never mistaken for the return.  A scan over
-the section (:func:`poincare_scan`) integrates all its start points as one
-stacked state, carrying the energy balance E' = dH/dt = eps g(x, y) y^2
-beside each orbit, so its displacement is d = E at the return.  A single
-start point (:func:`poincare_return`) is integrated on its own, with
-d = H(return) - H(start).  Sign changes of the scanned displacement locate
-limit cycles, each refined by Brent's method (scipy.optimize.brentq) on
-single returns; their positions and count are cross-validated against the
-zeros of the predicted leading-order coefficient p(h) I2(h) + q(h) I0(h).
+the section (:func:`poincare_scan`) steps all its start points as one
+stacked state with scipy's Python DOP853 stepper, carrying the energy
+balance E' = dH/dt = eps g(x, y) y^2 beside each orbit, so its displacement
+is d = E at the return.  A single start point (:func:`poincare_return`) is
+integrated on its own by scipy's compiled DOP853 (Hairer's dop853 through
+``scipy.integrate.ode``), and the crossing is located by Henon's trick (M.
+Henon, Physica D 5 (1982) 412-414): from the end of the step that crosses
+y = 0, (x, t) are integrated with y as the independent variable to y = 0.
+Its displacement is d = H(return) - H(start).  Sign changes of the scanned
+displacement locate limit cycles, each refined by Brent's method
+(scipy.optimize.brentq) on single returns; their positions and count are
+cross-validated against the zeros of the predicted leading-order
+coefficient p(h) I2(h) + q(h) I0(h).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import warnings
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, ode
 from scipy.optimize import brentq
 
 from .elliptic import oval_geometry, periods_real
@@ -69,10 +76,15 @@ class SimConfig:
     rtol: ClassVar[float] = 1e-11
     atol: ClassVar[float] = 1e-13
     max_time: float = 400.0
+    # the case's exact a and b as floats, converted once
+    a: float = field(init=False, repr=False, compare=False)
+    b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lam) != 6:
             raise ValueError("lam must have 6 entries")
+        object.__setattr__(self, "a", float(self.case.a))
+        object.__setattr__(self, "b", float(self.case.b))
 
     def rhs(self):
         """The flow's right-hand side f(t, s).
@@ -81,8 +93,7 @@ class SimConfig:
         stacked orbits s = (x_1..x_n, y_1..y_n, E_1..E_n) an array of
         (x', y', E') with E' = dH/dt.
         """
-        a = float(self.case.a)
-        b = float(self.case.b)
+        a, b = self.a, self.b
         l1, l2, l3, l4, l5, l6 = self.lam
         eps = self.eps
 
@@ -104,10 +115,10 @@ class SimConfig:
 
         return f
 
-    def hamiltonian(self, x: float, y: float) -> float:
-        a = float(self.case.a)
-        b = float(self.case.b)
-        return 0.5 * y * y + 0.5 * a * x * x + 0.25 * b * x**4
+    def hamiltonian(self, x, y):
+        """H = y^2/2 + a x^2/2 + b x^4/4 at floats or at arrays."""
+        x2 = x * x
+        return 0.5 * y * y + 0.5 * self.a * x2 + 0.25 * self.b * x2 * x2
 
 
 @dataclass(frozen=True)
@@ -132,70 +143,132 @@ def default_x_window(case: AnnulusCase) -> tuple[float, float]:
     return lo + 0.02 * span, hi - 0.02 * span
 
 
+# no step limit, as in solve_ivp: max_time and the escape level end a run
+_MAX_STEPS = 2**31 - 1
+
+
+class _CompiledReturn:
+    """scipy's compiled DOP853 for single returns, one for the process.
+
+    Two ``ode`` objects integrate the flow and Henon's section step.  scipy's
+    wrapper keeps a reference to the callback of every run, so a fresh
+    ``ode`` per return or per config would keep its whole integrator alive;
+    reused, a return keeps two bound methods.  Both reach the flow through
+    ``self.f``, set to ``cfg.rhs()`` for each return; a lock keeps returns
+    from threads apart.  The compiled code steps on after a callback
+    raises, so the callbacks never raise: an exception of the flow is kept,
+    the flow is read as zero to the end of the run, and the exception is
+    raised after it.
+    """
+
+    def __init__(self):
+        self.f = self.error = self.cfg = None
+        self.lock = threading.Lock()
+        self.flow = ode(self._flow).set_integrator(
+            "dop853", rtol=SimConfig.rtol, atol=SimConfig.atol, nsteps=_MAX_STEPS)
+        self.flow.set_solout(self._solout)
+        self.section = ode(self._section_flow).set_integrator(
+            "dop853", rtol=SimConfig.rtol, atol=SimConfig.atol, nsteps=_MAX_STEPS)
+
+    def _flow(self, t, s):
+        # plain floats: numpy scalars cost more than the arithmetic on them
+        return self._guarded(self.f, t, s.tolist())
+
+    def _section_flow(self, y, s):
+        return self._guarded(self._in_y, y, s.tolist())
+
+    def _in_y(self, y, s):
+        # Henon's trick: dx/dy = x'/y', dt/dy = 1/y'
+        x, t = s
+        dx, dy = self.f(t, (x, y))
+        return (dx / dy, 1.0 / dy)
+
+    def _guarded(self, fun, t, s):
+        if self.error is None:
+            try:
+                return fun(t, s)
+            except BaseException as exc:
+                self.error = exc
+        return (0.0, 0.0)
+
+    def _solout(self, t, s):
+        # after each accepted step: stop at the return or above the escape
+        # level.  y starts at 0 and falls, so it is above 0 only after the
+        # far-side - to + crossing, and the first step that takes it from
+        # above 0 to at most 0 ends in the return crossing
+        if self.error is not None:
+            return -1
+        x, y = s.tolist()
+        y_old, self.y_old = self.y_old, y
+        if y_old > 0 >= y:
+            self.end = "return"
+            return -1
+        if self.cfg.hamiltonian(x, y) > self.h_escape:
+            self.end = "escape"
+            return -1
+        return 0
+
+    def _run(self, solver, y0, t0, t1, x0):
+        solver.set_initial_value(y0, t0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = solver.integrate(t1)
+        if self.error is not None:
+            raise self.error
+        if not solver.successful():
+            message = "; ".join(str(w.message) for w in caught)
+            raise RuntimeError(f"integration failed from x0={x0}: {message}")
+        return state
+
+    def __call__(self, cfg: SimConfig, x0: float) -> tuple[float, float]:
+        """The return crossing (x, t) from (x0, 0)."""
+        with self.lock:
+            self.cfg, self.f, self.error = cfg, cfg.rhs(), None
+            self.h_escape = _escape_level(cfg.case)
+            self.y_old, self.end = 0.0, None
+            try:
+                x, y = self._run(self.flow, (x0, 0.0), 0.0, cfg.max_time, x0)
+                if self.end == "escape":
+                    raise EscapeError(
+                        f"escaped annulus: H rose above {self.h_escape} from x0={x0}")
+                if self.end is None:
+                    raise EscapeError(
+                        f"escaped annulus: no return from x0={x0} within t={cfg.max_time}")
+                t = self.flow.t
+                if y != 0.0:
+                    x, t = self._run(self.section, (x, t), y, 0.0, x0)
+                return float(x), float(t)
+            finally:
+                self.cfg = self.f = self.error = None
+
+
+_compiled_return = _CompiledReturn()
+
+
 def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     """One full return to the section starting from (x0, 0).
 
-    Integrates to the opposite-orientation crossing first and on to the
-    next same-orientation crossing, so the start point itself never
-    triggers the event.  An orbit whose energy rises through the upper
-    level ``case.h_hi`` raises EscapeError there; on an unbounded annulus
-    the level is H = 1e6, above which an orbit is taken as a runaway.  An
-    integration that solve_ivp reports as failed raises RuntimeError, which
-    is not an escape.
+    scipy's compiled DOP853 (``scipy.integrate.ode``, Hairer's dop853) with
+    the config's rtol and atol integrates to the far-side - to + crossing of
+    y and on to the step in which y goes + to - again, so the start point
+    itself is never taken for the return.  From that step's end Henon's
+    section step integrates (x, t) with y as the independent variable to
+    y = 0, and d = H(return) - H(start).  An orbit whose energy is above
+    the upper level ``case.h_hi`` at a step end before the return raises
+    EscapeError; on an unbounded annulus the level is H = 1e6, above which
+    an orbit is taken as a runaway.  So do a return outside the section
+    range and no return by ``cfg.max_time``.  An integration that DOP853
+    reports as failed raises RuntimeError with scipy's message, which is
+    not an escape.  Returns from several threads run one at a time.
     """
     lo, hi = cfg.case.section_range
     if not (lo < x0 < hi):
         raise ValueError(f"x0={x0} outside the section range {(lo, hi)}")
-    f = cfg.rhs()
-    h0 = cfg.hamiltonian(x0, 0.0)
-
-    def y_event(t, s):
-        return s[1]
-
-    # all four cases cross the section downward (y' < 0 at the start)
-    y_event.terminal = True
-    h_escape = _escape_level(cfg.case)
-
-    # rising through the escape level means leaving the annulus: stop there
-    # instead of following the escaping orbit to max_time or to a blow-up
-    def escape_event(t, s):
-        return cfg.hamiltonian(s[0], s[1]) - h_escape
-
-    escape_event.terminal = True
-    escape_event.direction = 1
-    events = [y_event, escape_event]
-
-    legs = (+1, -1)
-    state = (x0, 0.0)
-    t_accum = 0.0
-    for direction in legs:
-        y_event.direction = direction
-        sol = solve_ivp(
-            f,
-            (0.0, cfg.max_time - t_accum),
-            state,
-            method="DOP853",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            events=events,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed from x0={x0}: {sol.message}")
-        if sol.t_events[1].size:
-            raise EscapeError(f"escaped annulus: H rose above {h_escape} from x0={x0}")
-        if sol.t_events[0].size == 0:
-            raise EscapeError(
-                f"escaped annulus: no return from x0={x0} within t={cfg.max_time}"
-            )
-        t_accum += float(sol.t_events[0][0])
-        state = tuple(sol.y_events[0][0])
-
-    x1, y1 = state
+    x1, t1 = _compiled_return(cfg, x0)
     if not (lo < x1 < hi):
         raise EscapeError(f"return crossing at x={x1} left the section range")
-    h1 = cfg.hamiltonian(x1, y1)
-    return DisplacementSample(h=h0, d=float(h1 - h0), return_time=t_accum, x0=x0)
+    h0 = cfg.hamiltonian(x0, 0.0)
+    return DisplacementSample(h=h0, d=float(cfg.hamiltonian(x1, 0.0) - h0), return_time=t1, x0=x0)
 
 
 def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:

@@ -1,15 +1,17 @@
 """Poincare returns, limit-cycle detection, leading-order validation."""
 
+import gc
 import math
+import sys
+import threading
 import time
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from raylien import simulate
-from raylien.forms import EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
+from raylien.forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
 from raylien.melnikov import ParamArc, lambdas_for_first_order, melnikov
 from raylien.simulate import (
     EscapeError,
@@ -138,29 +140,198 @@ def test_runaway_orbits_on_an_unbounded_annulus_escape(monkeypatch):
 
 
 def test_central_symmetry_of_eight_interior():
-    """Displacement at (x0, 0) equals the reflected trajectory's at (-x0, 0)."""
-    from scipy.integrate import solve_ivp
+    """Displacement at (x0, 0) equals the reflected trajectory's at (-x0, 0).
+
+    The mirrored start point lies off the section range, so its orbit is
+    integrated here on poincare_return's path with the crossing orientations
+    mirrored: scipy's compiled DOP853 to the step in which y goes - to +
+    after the far-side + to - crossing, then Henon's step in y to y = 0.
+    """
+    from scipy.integrate import ode
 
     cfg = SimConfig(EIGHT_INTERIOR, (0.3, -0.2, 0.5, 0.1, -0.4, 0.2), 1e-3)
     right = poincare_return(cfg, 1.25)
 
     f = cfg.rhs()
+    ys, crossed = [0.0], []
 
-    def yev(t, s):
+    def solout(t, s):
+        y_old, y = ys[-1], s[1]
+        ys.append(y)
+        if crossed and y_old < 0 <= y:
+            return -1
+        if y_old > 0 >= y:
+            crossed.append(t)
+        return 0
+
+    flow = ode(f).set_integrator("dop853", rtol=cfg.rtol, atol=cfg.atol, nsteps=10**6)
+    flow.set_solout(solout)
+    flow.set_initial_value((-1.25, 0.0), 0.0)
+    x, y = flow.integrate(cfg.max_time)
+    assert flow.get_return_code() == 2  # stopped at the return step
+
+    def in_y(y, s):
+        dx, dy = f(s[1], (s[0], y))
+        return (dx / dy, 1.0 / dy)
+
+    step = ode(in_y).set_integrator("dop853", rtol=cfg.rtol, atol=cfg.atol)
+    step.set_initial_value((x, flow.t), y)
+    x1, t1 = step.integrate(0.0)
+    d_left = cfg.hamiltonian(x1, 0.0) - cfg.hamiltonian(-1.25, 0.0)
+    assert d_left == pytest.approx(right.d, rel=1e-9, abs=1e-14)
+    assert t1 == pytest.approx(right.return_time, rel=1e-9)
+
+
+def _two_leg_return(cfg, x0):
+    """The earlier poincare_return: two solve_ivp DOP853 runs with events.
+
+    The first leg ends at the - to + crossing of y, the second at the next
+    + to - crossing; a terminal event stops either where H rises through
+    the escape level.  Returns (d, return time), or None for an escape.
+    """
+    from scipy.integrate import solve_ivp
+
+    lo, hi = cfg.case.section_range
+    h_escape = simulate._escape_level(cfg.case)
+
+    def y_event(t, s):
         return s[1]
 
-    yev.terminal = True
-    state = (-1.25, 0.0)
-    t_acc = 0.0
-    for direction in (-1, +1):  # mirrored crossing orientations
-        yev.direction = direction
-        sol = solve_ivp(f, (0, 400), state, method="DOP853", rtol=cfg.rtol,
-                        atol=cfg.atol, events=yev)
-        t_acc += float(sol.t_events[0][0])
+    def escape_event(t, s):
+        return cfg.hamiltonian(s[0], s[1]) - h_escape
+
+    y_event.terminal = escape_event.terminal = True
+    escape_event.direction = 1
+    state, t_accum = (x0, 0.0), 0.0
+    for direction in (+1, -1):
+        y_event.direction = direction
+        sol = solve_ivp(cfg.rhs(), (0.0, cfg.max_time - t_accum), state, method="DOP853",
+                        rtol=cfg.rtol, atol=cfg.atol, events=[y_event, escape_event])
+        assert sol.success, sol.message
+        if sol.t_events[1].size or sol.t_events[0].size == 0:
+            return None
+        t_accum += float(sol.t_events[0][0])
         state = tuple(sol.y_events[0][0])
-    d_left = cfg.hamiltonian(*state) - cfg.hamiltonian(-1.25, 0.0)
-    assert d_left == pytest.approx(right.d, rel=1e-9, abs=1e-14)
-    assert t_acc == pytest.approx(right.return_time, rel=1e-9)
+    if not lo < state[0] < hi:
+        return None
+    return cfg.hamiltonian(*state) - cfg.hamiltonian(x0, 0.0), t_accum
+
+
+@pytest.mark.parametrize("case, lam, eps", [
+    (GLOBAL_CENTER, (0, 0, 0, 0, 1, 0), 1e-2),
+    (EIGHT_INTERIOR, (0.3, -0.2, 0.5, 0.1, -0.4, 0.2), 1e-2),
+    (EIGHT_EXTERIOR, (1, -0.5, 0.1, 0, 0, 0.01), 1e-2),
+    (TRUNCATED_PENDULUM, (1, -1, 0, 0, 0, 0), 1e-2),
+], ids=["global-center", "eight-interior", "eight-exterior", "truncated-pendulum"])
+def test_compiled_return_matches_two_leg_event_integration(case, lam, eps):
+    """The compiled return with Henon's step against solve_ivp's events.
+
+    Both are DOP853 at the same tolerances; their step-size controllers
+    differ, so d and the return time agree to the tolerances' order.  The
+    start points reach runaway orbits on the global centre and orbits
+    pumped across the separatrix of the truncated pendulum.
+    """
+    cfg = SimConfig(case, lam, eps)
+    escapes = 0
+    for x in np.linspace(*default_x_window(case), 9):
+        ref = _two_leg_return(cfg, float(x))
+        try:
+            s = poincare_return(cfg, float(x))
+        except EscapeError:
+            assert ref is None, (x, ref)
+            escapes += 1
+            continue
+        assert ref is not None, (x, s)
+        assert abs(s.d - ref[0]) <= 1e-9, (x, s.d, ref[0])
+        assert abs(s.return_time - ref[1]) <= 1e-9 * ref[1], (x, s.return_time, ref[1])
+    if case in (GLOBAL_CENTER, TRUNCATED_PENDULUM):
+        assert escapes
+
+
+def test_single_returns_retain_few_objects():
+    """1000 returns on one config keep at most 3 gc-tracked objects each.
+
+    scipy's dop853 wrapper keeps a reference to the callback of every run;
+    poincare_return reuses its integrators, so each return keeps two bound
+    methods rather than a whole integrator.
+    """
+    cfg = SimConfig(GLOBAL_CENTER, (1, -1, 0, 0, 0, 0), 1e-2)
+    poincare_return(cfg, 1.0)
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(1000):
+        poincare_return(cfg, 1.0)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 3 * 1000
+
+
+def _outcome(cfg, x0):
+    try:
+        return poincare_return(cfg, x0)
+    except EscapeError as exc:
+        return str(exc)
+
+
+def test_returns_from_threads_match_serial_returns():
+    """Single returns share one pair of compiled integrators; threads take turns.
+
+    With a short switch interval the interpreter switches threads inside the
+    integrators' Python callbacks; every result must equal the serial one.
+    """
+    jobs = [(cfg, float(x))
+            for cfg in (SimConfig(GLOBAL_CENTER, (1, -1, 0, 0, 0, 0), 1e-2),
+                        SimConfig(EIGHT_INTERIOR, (0.3, -0.2, 0.5, 0.1, -0.4, 0.2), 1e-2),
+                        SimConfig(TRUNCATED_PENDULUM, (1, -1, 0, 0, 0, 0), 1e-2))
+            for x in np.linspace(*default_x_window(cfg.case), 8)]
+    serial = [_outcome(cfg, x) for cfg, x in jobs]
+    results = [None] * len(jobs)
+
+    def work(k):
+        for i in range(k, len(jobs), 4):
+            results[i] = _outcome(*jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+def test_exception_in_the_flow_ends_a_compiled_return(monkeypatch):
+    """An exception raised by the right-hand side is raised by the return.
+
+    scipy's compiled DOP853 steps on after its callback raises; the return
+    must stop at once and raise the exception itself, then work as before.
+    """
+    cfg = SimConfig(GLOBAL_CENTER, (1, -1, 0, 0, 0, 0), 1e-2)
+    expected = poincare_return(cfg, 1.0)
+    make_rhs = SimConfig.rhs
+    calls = []
+
+    def failing_rhs(config):
+        f = make_rhs(config)
+
+        def rhs(t, s):
+            calls.append(t)
+            if len(calls) > 100:
+                raise KeyError("flow failed")
+            return f(t, s)
+
+        return rhs
+
+    monkeypatch.setattr(SimConfig, "rhs", failing_rhs)
+    with pytest.raises(KeyError, match="flow failed"):
+        poincare_return(cfg, 1.0)
+    assert len(calls) < 200
+    monkeypatch.undo()
+    assert poincare_return(cfg, 1.0) == expected
 
 
 def test_no_cycles_at_zero_eps():
@@ -208,24 +379,21 @@ def test_single_cycle_constructed_configuration(monkeypatch):
 
 
 def test_solver_failure_is_not_an_escape(monkeypatch):
-    def failing_solve_ivp(*args, **kwargs):
-        return SimpleNamespace(success=False, message="step size too small")
+    """A step-size failure raises RuntimeError with scipy's message.
 
-    class FailingStepper:
-        def __init__(self, *args, **kwargs):
-            self.status = "running"
-
-        def step(self):
-            self.status = "failed"
-            return "step size too small"
-
-    monkeypatch.setattr(simulate, "solve_ivp", failing_solve_ivp)
-    monkeypatch.setattr(simulate, "DOP853", FailingStepper)
-    cfg = SimConfig(GLOBAL_CENTER, (1, 0, 0, 0, 0, 0), 1e-3)
-    for run in (lambda: poincare_return(cfg, 1.0),
-                lambda: poincare_scan(cfg, [0.5, 1.0]),
-                lambda: find_limit_cycles(cfg, grid=4, x_window=(0.5, 1.5))):
-        with pytest.raises(RuntimeError, match="integration failed") as info:
+    Without an escape level the runaway orbits of g = y^4 on the global
+    centre blow up in finite time, and both DOP853s fail on them.
+    """
+    monkeypatch.setattr(simulate, "_escape_level", lambda case: math.inf)
+    cfg = SimConfig(GLOBAL_CENTER, (0, 0, 0, 0, 1, 0), 1e-2)
+    x_runaway = default_x_window(GLOBAL_CENTER)[1]
+    for run, message in (
+        (lambda: poincare_return(cfg, x_runaway), "dop853: step size becomes too small"),
+        (lambda: poincare_scan(cfg, [1.0, x_runaway]), "Required step size is less than spacing"),
+        (lambda: find_limit_cycles(cfg, grid=4, x_window=(1.0, x_runaway)),
+         "Required step size is less than spacing"),
+    ):
+        with pytest.raises(RuntimeError, match=f"integration failed.*{message}") as info:
             run()
         assert not isinstance(info.value, EscapeError)
 
