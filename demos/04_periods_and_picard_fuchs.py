@@ -1,9 +1,12 @@
 """Numerical periods of the level ovals and the Picard-Fuchs structure.
 
 I0 = loop integral of y dx (the enclosed area), I2 of x^2 y dx, and their
-derivatives J0, J2 (integrands dx/y, x^2 dx/y) are evaluated by tanh-sinh
-quadrature whose weights absorb the square-root turning-point
-singularities.  On the eight loop the four integrals satisfy two exact
+derivatives J0, J2 (integrands dx/y, x^2 dx/y) are complete elliptic
+integrals, evaluated in closed form: in s = x^2 each is a sum of positive
+terms built from Carlson's symmetric integral R_D, with a hypergeometric
+series 2F1(+-1/2, 3/2; 3; z) where a difference would cancel near a centre
+(B. C. Carlson, Math. Comp. 49 (1987) 595-606 and 53 (1989) 327-333; DLMF
+19.29), and each value carries a derived rounding bound.  On the eight loop the four integrals satisfy two exact
 linear identities; their residuals sit at machine precision across the
 whole annulus.  The same system, read as a linear ODE in h, continues the
 periods into the complex cut plane, cross-checked against direct contour

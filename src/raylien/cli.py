@@ -186,8 +186,9 @@ def _cmd_periods(args) -> int:
     return 0
 
 
-# pfcheck passes below this multiple of --tol: the identities multiply quadrature
-# values by coefficients up to 12h + 4, about 1.2e4 at the top probe level h = 1e3
+# pfcheck passes below this multiple of --tol: the identities multiply period
+# values (each within its closed form's rounding bound) by coefficients up to
+# 12h + 4, about 1.2e4 at the top probe level h = 1e3
 PFCHECK_RESIDUAL_FACTOR = 1e4
 
 
@@ -372,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periods", help="period values at one level or on a grid")
     p.add_argument("--case", required=True, choices=case_names)
     p.add_argument("--h", help="real or complex level, e.g. 0.5 or '1+0.5j'")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy, >= 1e-14: "
+                   "the most a real level's rounding bound may be, else an error; at a complex "
+                   "level the contour quadrature's convergence test and the pf-ode seed's bound")
     p.add_argument("--route", default="contour", choices=("contour", "pf-ode"))
     p.add_argument("--grid", type=int, default=0, help="emit CSV on a probe grid")
     p.set_defaults(func=_cmd_periods)
@@ -380,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pfcheck", help="Picard-Fuchs residuals on a grid")
     p.add_argument("--case", required=True, choices=("eight-interior", "eight-exterior"))
     p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
+                   f">= 1e-14; passes if no residual is above {PFCHECK_RESIDUAL_FACTOR:g} * tol")
     p.set_defaults(func=_cmd_pfcheck)
 
     p = sub.add_parser("zeros", help="zero count of p(h) I2 + q(h) I0")
@@ -388,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="", help="comma-separated coefficients c0,c1,c2")
     p.add_argument("--q", default="", help="comma-separated coefficients c0,c1,c2")
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
+                   ">= 1e-14; also the level, relative to the terms, under which a dip is probed")
     p.add_argument("--random", type=int, default=0, help="batch: count N random elements")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_zeros)

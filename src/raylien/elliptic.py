@@ -1,11 +1,13 @@
 """Numerical periods of the quartic level ovals and their continuations.
 
 Real-oval values I0 = loop integral of y dx, I2 of x^2 y dx and the
-derivative periods J0, J2 (integrands dx/y, x^2 dx/y) are computed with
-tanh-sinh quadrature over the oval's x-segment; the substitution weights
-absorb the square-root endpoint singularities, and the factored form of
-y^2 is evaluated through the stable node offsets 1 -+ u to avoid endpoint
-cancellation.  Orientation is fixed so that I0 > 0.
+derivative periods J0, J2 (integrands dx/y, x^2 dx/y) are complete elliptic
+integrals, computed in closed form: with s = x^2 each is a sum of positive
+terms built from Carlson's symmetric integral R_D, plus a Gauss
+hypergeometric series where two roots of s y^2 nearly meet (B. C. Carlson,
+Math. Comp. 49 (1987) 595-606 and 53 (1989) 327-333; DLMF 19.29).  The
+result carries a derived rounding bound.  Orientation is fixed so that
+I0 > 0.
 
 For the eight loop the module also provides
 
@@ -25,12 +27,12 @@ For the eight loop the module also provides
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special.cython_special import elliprd, hyp2f1
 
 from .forms import EIGHT_EXTERIOR, AnnulusCase
 
@@ -78,88 +80,118 @@ class OvalGeometry:
     x_hi: float
 
 
-def oval_geometry(case: AnnulusCase, h: float) -> OvalGeometry:
-    """Integration segment of the case's oval at level h."""
+def _level_roots(case: AnnulusCase, h: float) -> tuple[float, float, float]:
+    """sqrt(a^2 + 4bh) and the two roots of y^2 = 2h - a s - (b/2) s^2 in
+    s = x^2: beta, the oval's outer end, and the other root, its inner end
+    on the eight interior; both without cancellation."""
     if not case.contains_h(h):
         raise ValueError(f"h={h} outside the {case.name} interval")
-    return OvalGeometry(*case.oval_roots(h))
+    a, b = case.ab_float
+    sq = math.sqrt(a * a + 4.0 * b * h)
+    beta = 4.0 * h / (a + sq) if a > 0.0 else (sq - a) / b
+    return sq, beta, -4.0 * h / (b * beta)
+
+
+def oval_geometry(case: AnnulusCase, h: float) -> OvalGeometry:
+    """Integration segment of the case's oval at level h."""
+    _, beta, other = _level_roots(case, h)
+    x_hi = math.sqrt(beta)
+    return OvalGeometry(-x_hi if case.fold == 2.0 else math.sqrt(other), x_hi)
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature on (-1, 1)
+# Closed-form real periods (Carlson's symmetric integrals)
 # ---------------------------------------------------------------------------
 
-_T_MAX = 4.3
-_MIN_LEVEL = 5
-_MAX_LEVEL = 12
-
-
-@functools.lru_cache(maxsize=_MAX_LEVEL - _MIN_LEVEL + 1)
-def _ts_level(k: int):
-    """Nodes/weights at step 2^-k: (x, w, 1-x, 1+x), endpoint-stable."""
-    step = 2.0 ** (-k)
-    n = int(math.ceil(_T_MAX / step))
-    t = step * np.arange(1, n + 1)
-    g = 0.5 * np.pi * np.sinh(t)
-    x = np.tanh(g)
-    e = np.exp(-2.0 * g)
-    om = 2.0 * e / (1.0 + e)  # 1 - x without cancellation
-    w = 0.5 * np.pi * np.cosh(t) / np.cosh(g) ** 2 * step
-
-    x_full = np.concatenate([-x[::-1], [0.0], x])
-    w_full = np.concatenate([w[::-1], [0.5 * np.pi * step], w])
-    one_minus = np.concatenate([2.0 - om[::-1], [1.0], om])
-    one_plus = one_minus[::-1].copy()
-    return x_full, w_full, one_minus, one_plus
+_U = 2.0**-53  # unit roundoff
+# first-order relative rounding bounds, derived in periods_real
+_D_IN = 5.0 * _U  # alpha, k, A, B
+_D_C = 16.0 * _U + 2.5 * _D_IN + 2.0 * _U  # c and s^; elliprd within 16u
+_D_J = _D_C + _D_IN + 5.0 * _U
+_D_SERIES = 32.0 * _U + 1.7 * _D_IN + 5.0 * _U  # T, Z; hyp2f1 within 32u
 
 
 def periods_real(case: AnnulusCase, h: float, tol: float = 1e-12) -> PeriodValue:
-    """All four period values on the real oval at level h.
+    """All four period values on the real oval at level h, in closed form.
 
-    Levels double until the largest relative change drops below tol; the
-    last change is reported as est_error.  Symmetric ovals are folded onto
-    [0, x_hi] so that the near-saddle peak of 1/y at x = 0 sits at a
-    segment endpoint, inside the double-exponential node cluster.  y on
-    the nodes comes from the case's factored y^2 (endpoint-stable).
+    In s = x^2 the oval is s in [alpha, beta], between two roots of
+    s y^2 = s P(s), P(s) = 2h - a s - (b/2) s^2; gamma is the third root
+    (alpha = 0 on the symmetric ovals, gamma = 0 on the eight interior).
+    Put s = alpha + k sin^2 t, k = beta - alpha, D = A cos^2 t + B sin^2 t,
+    A = |alpha - gamma|, B = |beta - gamma|, C = |b|/2, f = case.fold, and
+    c, s^ = int_0^(pi/2) (cos^2, sin^2) D^(-1/2) dt = (B/3) R_D(0, A, B),
+    (A/3) R_D(0, B, A) with Carlson's R_D.  Then J0 = 2f (c + s^)/sqrt(C),
+    J2 = 2f (alpha (c + s^) + k s^)/sqrt(C), I2 = 2f sqrt(C) k^2 Z and
+    I0 = 2f sqrt(C) k (2A c + B s^)/3 on the symmetric ovals, 2f sqrt(C) k^2 T
+    on the interior, with T, Z = int_0^(pi/2) sin^2 cos^2 D^(-+1/2) dt.  For
+    z = 1 - min(A, B)/max(A, B) >= 1/2, T = (B s^ - A c)/(3 (B - A)) and
+    Z = (A (B - 2A) c + B (2B - A) s^)/(15 (B - A)); below, where B - A
+    cancels, T, Z = (pi/16) max(A, B)^(-+1/2) 2F1(+-1/2, 3/2; 3; z).  (B. C.
+    Carlson, Math. Comp. 49 (1987) 595-606, 53 (1989) 327-333; DLMF 19.29.)
+    gamma (alpha on the interior) is -4h/(b beta), and the gap
+    2 sqrt(a^2 + 4bh)/|b| between P's roots (k on the interior, B elsewhere)
+    is never formed by subtraction.
+
+    est_error bounds, to first order in u = 2^-53, the relative rounding
+    error of all four values against the exact periods at the float h.  For
+    a, b = +-1, a^2 + 4bh is exact or once rounded (Sterbenz's lemma where
+    it cancels), so alpha, k, A, B are within d_in = 5u.  R_D is homogeneous
+    of degree -3/2 and decreasing in each argument, so it passes input
+    errors on at most 1.5-fold; with scipy's elliprd within 16u (4.5 ulp
+    measured against mpmath), c and s^ are within d_c = 16u + 2.5 d_in + 2u.
+    Positive sums keep the largest relative error: J0, J2 are within
+    d_c + d_in + 5u, the symmetric I0 within d_c + 2 d_in + 6u.  The
+    R_D branch of T, Z multiplies its terms' error, at most d_c + 2 d_in + 3u,
+    by kappa = sum |terms| / |sum|, computed per call, and B - A adds 3 d_in
+    ((A + B)/|B - A| <= 3 there).  The series branch takes hyp2f1 within 32u
+    (11 ulp measured), z within 3 d_in + 2u and |2F1'/2F1| <= 0.4 on
+    [0, 1/2].  Multiplying T, Z by k^2 and the constants adds 2 d_in + 5u.  A bound above ``tol`` raises
+    QuadratureError.
     """
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
-    geo = oval_geometry(case, h)
-    A, B, fold = (0.0 if case.fold == 2.0 else geo.x_lo), geo.x_hi, case.fold
-    half = 0.5 * (B - A)
-    mid = 0.5 * (B + A)
-    prev = None
-    for k in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-        x, w, om, op = _ts_level(k)
-        xx = mid + half * x
-        bmx = half * om
-        xma = half * op
-        y = np.sqrt(np.maximum(case.y_squared(h, xx, bmx, xma, geo.x_lo, geo.x_hi), 0.0))
-        x2 = xx * xx
-        wy = w * y
-        wovery = w / y
-        scale_out = 2.0 * half * fold
-        vals = scale_out * np.array(
-            [wy.sum(), (x2 * wy).sum(), wovery.sum(), (x2 * wovery).sum()]
+    sq, beta, other = _level_roots(case, h)
+    b, f = case.ab_float[1], case.fold
+    gap = 2.0 * sq / abs(b)
+    if f == 2.0:
+        alpha, k, A, B = 0.0, beta, abs(other), gap
+    else:
+        alpha, k, A, B = other, gap, other, beta
+    rC = math.sqrt(0.5 * abs(b))
+    c = B / 3.0 * elliprd(0.0, A, B)
+    s = A / 3.0 * elliprd(0.0, B, A)
+    J0 = 2.0 * f * (c + s) / rC
+    J2 = 2.0 * f * (alpha * (c + s) + k * s) / rC
+    M = max(A, B)
+    z = abs(B - A) / M
+    if z >= 0.5:
+        Bs, Ac = B * s, A * c
+        t1, t2 = A * (B - 2.0 * A) * c, B * (2.0 * B - A) * s
+        T = (Bs - Ac) / (3.0 * (B - A))
+        Z = (t1 + t2) / (15.0 * (B - A))
+        err_T = (Bs + Ac) / abs(Bs - Ac) * (_D_C + _D_IN + _U) + 3.0 * _D_IN + 4.0 * _U
+        kappa_Z = (A * (B + 2.0 * A) * c + B * (2.0 * B + A) * s) / abs(t1 + t2)
+        err_Z = kappa_Z * (_D_C + 2.0 * _D_IN + 3.0 * _U) + 3.0 * _D_IN + 4.0 * _U
+    else:
+        r = math.sqrt(M)
+        T = math.pi / 16.0 / r * hyp2f1(0.5, 1.5, 3.0, z)
+        Z = math.pi / 16.0 * r * hyp2f1(-0.5, 1.5, 3.0, z)
+        err_T = err_Z = _D_SERIES
+    scale = 2.0 * f * rC * k
+    if f == 2.0:
+        I0 = scale * (2.0 * A * c + B * s) / 3.0
+        err_I0 = _D_C + 2.0 * _D_IN + 6.0 * _U
+    else:
+        I0 = scale * k * T
+        err_I0 = err_T + 2.0 * _D_IN + 5.0 * _U
+    I2 = scale * k * Z
+    est = max(_D_J, err_I0, err_Z + 2.0 * _D_IN + 5.0 * _U)
+    if est > tol:
+        raise QuadratureError(
+            f"closed-form rounding bound {est:.2e} above tol={tol} for {case.name} at h={h}"
         )
-        if prev is not None:
-            scale = np.maximum(np.abs(vals), 1e-300)
-            err = float(np.max(np.abs(vals - prev) / scale))
-            if err < tol:
-                return PeriodValue(
-                    I0=float(vals[0]),
-                    I2=float(vals[1]),
-                    J0=float(vals[2]),
-                    J2=float(vals[3]),
-                    h=h,
-                    case=case.name,
-                    branch_tag="real-oval",
-                    est_error=err,
-                )
-        prev = vals
-    raise QuadratureError(
-        f"tanh-sinh failed to reach tol={tol} for {case.name} at h={h} "
-        f"(last values {prev})"
+    return PeriodValue(
+        I0=I0, I2=I2, J0=J0, J2=J2, h=h, case=case.name, branch_tag="real-oval", est_error=est,
     )
 
 

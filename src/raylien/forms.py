@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .exactalg import (
     Poly,
@@ -55,12 +54,10 @@ class AnnulusCase:
 
     (a, b) fixes the Hamiltonian sign case, the only input of the symbolic
     reduction.  The rest serves the numerical modules: the open h-interval
-    (h_lo, h_hi) and the zero-count ceiling; ``oval_roots(h)``, the x-extent
-    (x_lo, x_hi) of the level-h oval; ``y_squared(h, x, x_hi - x, x - x_lo,
-    x_lo, x_hi)``, y^2 factored through the root offsets so that it stays
-    accurate at the segment ends; ``fold``, 2.0 for an x-symmetric oval
-    (integrated over [0, x_hi] and doubled), else 1.0; ``section_range``,
-    the open x-interval of the section {y = 0} transversal to the annulus.
+    (h_lo, h_hi) and the zero-count ceiling; ``fold``, 2.0 for an
+    x-symmetric oval (its s = x^2 interval starts at 0 and each s is crossed
+    twice), else 1.0; ``section_range``, the open x-interval of the section
+    {y = 0} transversal to the annulus; ``ab_float``, (a, b) as floats.
     """
 
     name: str
@@ -69,10 +66,12 @@ class AnnulusCase:
     h_lo: float
     h_hi: float
     zero_bound: int
-    oval_roots: Callable[[float], tuple[float, float]] = field(compare=False)
-    y_squared: Callable = field(compare=False)
     fold: float
     section_range: tuple[float, float]
+    ab_float: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ab_float", (float(self.a), float(self.b)))
 
     def hamiltonian(self) -> Poly:
         return hamiltonian_xy(self.a, self.b)
@@ -90,66 +89,14 @@ class AnnulusCase:
         return f"AnnulusCase({self.name})"
 
 
-def _center_roots(h):
-    # -1 + sqrt(1+4h), written to avoid cancellation at small h
-    xp = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 + 4.0 * h)))
-    return -xp, xp
-
-
-def _center_y2(h, xx, b_minus_x, x_minus_a, A, B):
-    c = 1.0 + math.sqrt(1.0 + 4.0 * h)
-    return 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
-
-
-def _pendulum_roots(h):
-    # 1 - sqrt(1-4h) without cancellation
-    xm = math.sqrt(4.0 * h / (1.0 + math.sqrt(1.0 - 4.0 * h)))
-    return -xm, xm
-
-
-def _pendulum_y2(h, xx, b_minus_x, x_minus_a, A, B):
-    c = 1.0 + math.sqrt(1.0 - 4.0 * h)
-    return 0.5 * b_minus_x * (B + xx) * (c - xx * xx)
-
-
-def _interior_roots(h):
-    s = math.sqrt(1.0 + 4.0 * h)
-    x1 = math.sqrt(-4.0 * h / (1.0 + s))  # 1 - s, stable for h near 0
-    x2 = math.sqrt(1.0 + s)
-    return x1, x2  # right oval
-
-
-def _interior_y2(h, xx, b_minus_x, x_minus_a, A, B):
-    # roots at both segment ends
-    return 0.5 * x_minus_a * (xx + A) * b_minus_x * (B + xx)
-
-
-def _exterior_roots(h):
-    xp = math.sqrt(1.0 + math.sqrt(1.0 + 4.0 * h))
-    return -xp, xp
-
-
-def _exterior_y2(h, xx, b_minus_x, x_minus_a, A, B):
-    c = 4.0 * h / (math.sqrt(1.0 + 4.0 * h) + 1.0)  # sqrt(1+4h) - 1
-    return 0.5 * b_minus_x * (B + xx) * (xx * xx + c)
-
-
 GLOBAL_CENTER = AnnulusCase(
-    "global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5,
-    _center_roots, _center_y2, 2.0, (0.0, math.inf),
-)
+    "global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5, 2.0, (0.0, math.inf))
 TRUNCATED_PENDULUM = AnnulusCase(
-    "truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5,
-    _pendulum_roots, _pendulum_y2, 2.0, (0.0, 1.0),
-)
+    "truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5, 2.0, (0.0, 1.0))
 EIGHT_INTERIOR = AnnulusCase(
-    "eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5,
-    _interior_roots, _interior_y2, 1.0, (1.0, math.sqrt(2.0)),
-)
+    "eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5, 1.0, (1.0, math.sqrt(2.0)))
 EIGHT_EXTERIOR = AnnulusCase(
-    "eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6,
-    _exterior_roots, _exterior_y2, 2.0, (math.sqrt(2.0), math.inf),
-)
+    "eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6, 2.0, (math.sqrt(2.0), math.inf))
 
 CASES: dict[str, AnnulusCase] = {
     c.name: c

@@ -153,12 +153,12 @@ class _CompiledReturn:
     Two ``ode`` objects integrate the flow and Henon's section step.  scipy's
     wrapper keeps a reference to the callback of every run, so a fresh
     ``ode`` per return or per config would keep its whole integrator alive;
-    reused, a return keeps two bound methods.  Both reach the flow through
-    ``self.f``, set to ``cfg.rhs()`` for each return; a lock keeps returns
-    from threads apart.  The compiled code steps on after a callback
-    raises, so the callbacks never raise: an exception of the flow is kept,
-    the flow is read as zero to the end of the run, and the exception is
-    raised after it.
+    reused, with that callback pinned, a return keeps nothing.  Both reach
+    the flow through ``self.f``, set to ``cfg.rhs()`` for each return; a
+    lock keeps returns from threads apart.  The compiled code steps on after
+    a callback raises, so the callbacks never raise: an exception of the
+    flow is kept, the flow is read as zero to the end of the run, and the
+    exception is raised after it.
     """
 
     def __init__(self):
@@ -169,6 +169,11 @@ class _CompiledReturn:
         self.flow.set_solout(self._solout)
         self.section = ode(self._section_flow).set_integrator(
             "dop853", rtol=SimConfig.rtol, atol=SimConfig.atol, nsteps=_MAX_STEPS)
+        # each run hands the compiled code ``integrator._solout``, which
+        # would otherwise be a new bound method every time, and the wrapper
+        # keeps it: pinned as an instance attribute it is the same object
+        for solver in (self.flow, self.section):
+            solver._integrator._solout = solver._integrator._solout
 
     def _flow(self, t, s):
         # plain floats: numpy scalars cost more than the arithmetic on them

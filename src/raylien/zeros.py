@@ -3,11 +3,12 @@
 Real intervals are scanned on a log-graded grid with Brent refinement;
 near-tangencies are probed with the derivative element (exact via the
 Picard-Fuchs relations on the eight-loop annuli, finite differences
-elsewhere) and reported as multiplicity-2 candidates.  The grid's periods
-are computed once per case and cached; an element's values there and the
-classification of its nodes (reliable or sub-noise, sign flips, dips) are
-array passes, so only the few flagged node pairs cost Python work.  Each
-element converts its coefficients to floats once, for the scan, the
+elsewhere) and reported as multiplicity-2 candidates.  Real periods are
+:func:`periods_real`'s closed form (Carlson's R_D), at the grid once per
+case and cached, and at each Brent iterate.  An element's grid values and
+the classification of its nodes (reliable or sub-noise, sign flips, dips)
+are array passes, so only the few flagged node pairs cost Python work.
+Each element converts its coefficients to floats once, for the scan, the
 pointwise value :func:`eval_V` and the winding alike.  On the eight-loop
 exterior the derivative combination J = ptilde J2 + qtilde J0 is also
 counted in the cut plane by the argument principle: the winding of
@@ -110,7 +111,7 @@ def _horner(c: tuple[float, float, float], h):
 
 
 def eval_V(e: VElement, h: float, tol: float = 1e-12) -> float:
-    """Value of the element at h (quadrature-backed)."""
+    """Value of the element at h, from the closed-form periods at h."""
     pv = periods_real(e.case, h, tol)
     p, q = _horner(e.pc, h), _horner(e.qc, h)
     if e.basis == "I":
@@ -186,15 +187,15 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
 
     The count covers the scan window (equal to the case interval, truncated
     to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
-    A node is reliable when its value is above the float/quadrature noise
-    floor.  Between consecutive reliable nodes, a sign flip is a zero,
-    refined by ``scipy.optimize.brentq`` on the element's value at the scan
-    tolerance ``tol`` to a relative width of 1e-10 (the bracket ends reuse
-    the scanned values); equal signs across a sub-noise run go to the
-    tangency probe.  A reliable node whose value dips under the quadrature
-    noise between reliable neighbours of the same sign is probed too.  The
-    nodes are classified in array passes; only those pairs and dips are
-    visited one by one, in node order, flips and runs before dips.
+    A node is reliable when its value is above the rounding noise floor.
+    Between consecutive reliable nodes, a sign flip is a zero, refined by
+    ``scipy.optimize.brentq`` on the element's value at the scan tolerance
+    ``tol`` to a relative width of 1e-10 (the bracket ends reuse the
+    scanned values); equal signs across a sub-noise run go to the tangency
+    probe.  A reliable node whose value dips under the ``tol`` noise level
+    between reliable neighbours of the same sign is probed too.  The nodes
+    are classified in array passes; only those pairs and dips are visited
+    one by one, in node order, flips and runs before dips.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -204,7 +205,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     hs, I0, I2, J0, J2 = _grid_periods(case, grid, tol)
     base0, base2 = (I0, I2) if e.basis == "I" else (J0, J2)
     vals, mags = _element_values(e, hs, base0, base2)
-    # below this the computed value is float/quadrature cancellation noise
+    # below this the computed value is rounding and cancellation noise
     # and its sign carries no information; tangency candidacy sits higher
     floor = 1e-13 * mags + 1e-306
     noise = tol * mags + 1e-306
@@ -264,7 +265,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
                 notes.append(f"unresolved near-tangency at h={h_mid:.6g}")
 
     # near-tangency candidates among reliable nodes: |value| dips under the
-    # quadrature noise with no sign change around it
+    # tol noise level with no sign change around it
     mid = mag[1:-1]
     dip = (
         ok[:-2] & ok[1:-1] & ok[2:]

@@ -1,4 +1,4 @@
-"""Period quadrature, Picard-Fuchs structure, complex continuation."""
+"""Real periods, Picard-Fuchs structure, complex continuation."""
 
 import cmath
 import math
@@ -8,6 +8,7 @@ import pytest
 
 from raylien.elliptic import (
     ContourObstructionError,
+    QuadratureError,
     case_grid,
     oval_geometry,
     periods_complex,
@@ -18,6 +19,7 @@ from raylien.elliptic import (
     wronskians,
 )
 from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
+from raylien.zeros import scan_grid
 
 
 # -- oval geometry -----------------------------------------------------------
@@ -94,6 +96,170 @@ def test_I0_monotone_where_area_grows(case_name):
 def test_quadrature_error_estimates_are_tiny():
     pv = periods_real(EIGHT_EXTERIOR, 1.0, 1e-12)
     assert pv.est_error < 1e-12
+
+
+# -- independent reference: tanh-sinh over the oval's x-segment ---------------
+#
+# Adaptive tanh-sinh quadrature of y, x^2 y, 1/y and x^2/y, with y^2 factored
+# through the root offsets (x_hi - x, x - x_lo) so that it stays accurate at
+# the segment ends.  Symmetric ovals are folded onto [0, x_hi], which puts
+# the near-saddle peak of 1/y at x = 0 on a segment end.
+
+_TS_T_MAX = 4.3
+
+
+def _ts_nodes(k):
+    """Nodes/weights at step 2^-k: (x, w, 1-x, 1+x), endpoint-stable."""
+    step = 2.0 ** (-k)
+    t = step * np.arange(1, int(math.ceil(_TS_T_MAX / step)) + 1)
+    g = 0.5 * np.pi * np.sinh(t)
+    x = np.tanh(g)
+    e = np.exp(-2.0 * g)
+    om = 2.0 * e / (1.0 + e)  # 1 - x without cancellation
+    w = 0.5 * np.pi * np.cosh(t) / np.cosh(g) ** 2 * step
+    one_minus = np.concatenate([2.0 - om[::-1], [1.0], om])
+    return (np.concatenate([-x[::-1], [0.0], x]),
+            np.concatenate([w[::-1], [0.5 * np.pi * step], w]),
+            one_minus, one_minus[::-1].copy())
+
+
+def _y2_center(h, xx, bmx, xma, lo, hi):
+    return 0.5 * bmx * (hi + xx) * (xx * xx + (1.0 + math.sqrt(1.0 + 4.0 * h)))
+
+
+def _y2_pendulum(h, xx, bmx, xma, lo, hi):
+    return 0.5 * bmx * (hi + xx) * (1.0 + math.sqrt(1.0 - 4.0 * h) - xx * xx)
+
+
+def _y2_interior(h, xx, bmx, xma, lo, hi):
+    return 0.5 * xma * (xx + lo) * bmx * (hi + xx)
+
+
+def _y2_exterior(h, xx, bmx, xma, lo, hi):
+    c = 4.0 * h / (math.sqrt(1.0 + 4.0 * h) + 1.0)  # sqrt(1+4h) - 1
+    return 0.5 * bmx * (hi + xx) * (xx * xx + c)
+
+
+_Y2 = {"global-center": _y2_center, "truncated-pendulum": _y2_pendulum,
+       "eight-interior": _y2_interior, "eight-exterior": _y2_exterior}
+
+
+def _tanh_sinh_periods(case, h, tol=1e-12):
+    """(I0, I2, J0, J2); the step halves until no value moves by tol."""
+    geo = oval_geometry(case, h)
+    lo, hi = geo.x_lo, geo.x_hi
+    A, fold = (0.0 if case.fold == 2.0 else lo), case.fold
+    half, mid = 0.5 * (hi - A), 0.5 * (hi + A)
+    prev = None
+    for k in range(5, 13):
+        x, w, om, op = _ts_nodes(k)
+        xx = mid + half * x
+        y = np.sqrt(np.maximum(_Y2[case.name](h, xx, half * om, half * op, lo, hi), 0.0))
+        wy, wovery = w * y, w / y
+        vals = 2.0 * half * fold * np.array(
+            [wy.sum(), (xx * xx * wy).sum(), wovery.sum(), (xx * xx * wovery).sum()])
+        if prev is not None and np.max(np.abs(vals - prev) / np.abs(vals)) < tol:
+            return vals
+        prev = vals
+    raise AssertionError(f"tanh-sinh reference did not converge at h={h}")
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_closed_form_matches_tanh_sinh_reference(case_name):
+    """Both scan and probe grids, ends included; next to the interior's
+    centre the reference's own error reaches 4.8e-12 (mpmath), so nodes
+    with h + 1/4 < 1e-6 get 1e-11."""
+    case = CASES[case_name]
+    for h in np.concatenate([scan_grid(case, 200), case_grid(case, 60)]):
+        h = float(h)
+        pv = periods_real(case, h)
+        ref = _tanh_sinh_periods(case, h)
+        rel = 1e-11 if h + 0.25 < 1e-6 else 1e-12
+        for got, want in zip((pv.I0, pv.I2, pv.J0, pv.J2), ref):
+            assert abs(got - want) <= rel * abs(want), (h, got, want)
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_general_picard_fuchs_relations(case_name):
+    """3 I0 = 4h J0 - a J2 and 15 b I2 = -4a h J0 + (12bh + 4a^2) J2."""
+    case = CASES[case_name]
+    a, b = case.ab_float
+    for h in case_grid(case, 20):
+        h = float(h)
+        pv = periods_real(case, h)
+        terms1 = (4.0 * h * pv.J0, a * pv.J2)
+        terms2 = (4.0 * a * h * pv.J0, (12.0 * b * h + 4.0 * a * a) * pv.J2)
+        r1 = 3.0 * pv.I0 - terms1[0] + terms1[1]
+        r2 = 15.0 * b * pv.I2 + terms2[0] - terms2[1]
+        assert abs(r1) <= 1e-14 * sum(map(abs, terms1)), h
+        assert abs(r2) <= 1e-14 * sum(map(abs, terms2)), h
+
+
+def _mp_periods(case, h, mp):
+    """(I0, I2, J0, J2) by mpmath quadrature at the working precision.
+
+    With s = x^2 = alpha + k sin^2 t on the oval's s-interval [alpha, beta]
+    and gamma the third root of s y^2 = C (s - alpha)(beta - s)|s - gamma|,
+    C = |b|/2, the four periods are smooth integrals over t in [0, pi/2],
+    split geometrically towards both ends where the integrands peak next to
+    a separatrix.
+    """
+    a, b = (mp.mpf(c.numerator) / c.denominator for c in (case.a, case.b))
+    h = mp.mpf(h)
+    sq = mp.sqrt(a * a + 4 * b * h)
+    roots = sorted(((-a + sq) / b, (-a - sq) / b))
+    if case.fold == 2:
+        alpha, beta = mp.mpf(0), min(r for r in roots if r > 0)
+        gamma = roots[0] + roots[1] - beta
+    else:
+        (alpha, beta), gamma = roots, mp.mpf(0)
+    k, f, rC = beta - alpha, mp.mpf(case.fold), mp.sqrt(abs(b) / 2)
+
+    def s(t):
+        return alpha + k * mp.sin(t) ** 2
+
+    def D(t):
+        return abs(s(t) - gamma)
+
+    ends = [mp.pi / 2 * mp.mpf(10) ** -e for e in range(12, 0, -2)]
+    nodes = [0, *ends, *(mp.pi / 2 - x for x in reversed(ends)), mp.pi / 2]
+    quad = lambda fn: mp.quad(fn, nodes)  # noqa: E731
+    sc2 = lambda t: (mp.sin(t) * mp.cos(t)) ** 2  # noqa: E731
+    # dx/y = ds / (2 sqrt(s y^2)),  ds = 2k sin t cos t dt
+    return (
+        2 * f * rC * k * k * quad(lambda t: sc2(t) * mp.sqrt(D(t)) / s(t)),
+        2 * f * rC * k * k * quad(lambda t: sc2(t) * mp.sqrt(D(t))),
+        2 * f / rC * quad(lambda t: 1 / mp.sqrt(D(t))),
+        2 * f / rC * quad(lambda t: s(t) / mp.sqrt(D(t))),
+    )
+
+
+@pytest.mark.parametrize(
+    "case_name, h",
+    [("eight-interior", -0.25 + 2.5e-10), ("truncated-pendulum", 0.25 - 2.5e-10),
+     ("global-center", 1e-8), ("eight-exterior", 1.2e-8)],
+    ids=str,
+)
+def test_closed_form_against_40_digit_mpmath(case_name, h):
+    """Next to each annulus end, where tanh-sinh loses digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = _mp_periods(CASES[case_name], h, mpmath)
+    pv = periods_real(CASES[case_name], h)
+    for got, want in zip((pv.I0, pv.I2, pv.J0, pv.J2), ref):
+        err = float(abs((got - want) / want))
+        assert err <= 1e-14
+        assert err <= pv.est_error
+
+
+def test_rounding_bound_above_tol_raises():
+    hs = [float(h) for h in scan_grid(EIGHT_INTERIOR, 200)]
+    pv = max((periods_real(EIGHT_INTERIOR, h) for h in hs), key=lambda p: p.est_error)
+    assert 1e-14 < pv.est_error < 1e-13
+    with pytest.raises(QuadratureError):
+        periods_real(EIGHT_INTERIOR, pv.h, 1e-14)
+    with pytest.raises(ValueError):
+        periods_real(EIGHT_INTERIOR, pv.h, 1e-15)
 
 
 def test_finite_difference_oracle_for_J():

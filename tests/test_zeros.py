@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 from raylien import zeros
 
-from raylien.elliptic import _ts_level, periods_real
+from raylien.elliptic import periods_real
 from raylien.exactalg import PolyU
 from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER
 from raylien.zeros import (
@@ -106,7 +106,7 @@ def test_scan_grid_cache_is_keyed_by_the_whole_case():
 
 
 def test_module_caches_are_bounded():
-    for cached in (_grid_periods, _contour_table, _ts_level):
+    for cached in (_grid_periods, _contour_table):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
