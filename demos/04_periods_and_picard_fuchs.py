@@ -8,9 +8,9 @@ series 2F1(+-1/2, 3/2; 3; z) where a difference would cancel near a centre
 (B. C. Carlson, Math. Comp. 49 (1987) 595-606 and 53 (1989) 327-333; DLMF
 19.29), and each value carries a derived rounding bound.  On the eight loop the four integrals satisfy two exact
 linear identities; their residuals sit at machine precision across the
-whole annulus.  The same system, read as a linear ODE in h, continues the
-periods into the complex cut plane, cross-checked against direct contour
-integration around the tracked branch-point pair.
+whole annulus.  On the eight-loop exterior the closed form continues into
+the complex cut plane with principal branches of the square root and of
+complex R_D; the same system, read as a linear ODE in h, cross-checks it.
 """
 
 import math
@@ -51,15 +51,15 @@ for case_name in ("eight-interior", "eight-exterior"):
     print(f"  {case_name:20s} max residual {worst:.3e}")
 print()
 
-print("Complex continuation: contour route vs Picard-Fuchs ODE route:")
+print("Complex continuation: closed form vs Picard-Fuchs ODE route:")
 for h in (0.5 + 0.3j, 2.0 - 1.5j, 50.0 + 80.0j):
-    a = periods_complex(h, route="contour")
+    a = periods_complex(h, route="closed-form")
     b = periods_complex(h, route="pf-ode")
     rel = abs(a.J0 - b.J0) / abs(b.J0)
     print(f"  h = {h}:  J0 = {a.J0:.10f}   route difference {rel:.2e}")
 print()
 
-pv100 = periods_complex(100 + 100j, route="pf-ode")
-pv1000 = periods_complex(1000 + 1000j, route="pf-ode")
+pv100 = periods_complex(100 + 100j)
+pv1000 = periods_complex(1000 + 1000j)
 alpha = math.log(abs(pv1000.J0) / abs(pv100.J0)) / math.log(10)
 print(f"Large-|h| decay: |J0| ~ |h|^alpha with alpha = {alpha:+.4f} (expect -1/4)")

@@ -374,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=case_names)
     p.add_argument("--h", help="real or complex level, e.g. 0.5 or '1+0.5j'")
     p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy, >= 1e-14: "
-                   "the most a real level's rounding bound may be, else an error; at a complex "
-                   "level the contour quadrature's convergence test and the pf-ode seed's bound")
-    p.add_argument("--route", default="contour", choices=("contour", "pf-ode"))
+                   "the most a closed form's rounding bound may be, else an error; with "
+                   "--route pf-ode at a complex level, the bound of the real seed at h = 1")
+    p.add_argument("--route", default="closed-form", choices=("closed-form", "pf-ode"),
+                   help="continuation to a complex level: the closed form on the cut plane, "
+                   "or the Picard-Fuchs system integrated as an ODE")
     p.add_argument("--grid", type=int, default=0, help="emit CSV on a probe grid")
     p.set_defaults(func=_cmd_periods)
 

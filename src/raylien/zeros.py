@@ -14,15 +14,15 @@ exterior the derivative combination J = ptilde J2 + qtilde J0 is also
 counted in the cut plane by the argument principle: the winding of
 F = ptilde J2/J0 + qtilde along the boundary of a truncated cut plane
 (|h| <= R minus a slit neighborhood of half-width delta) equals the number
-of zeros of F inside, since J0 never vanishes there.
+of zeros of F inside, since J0 has no zeros there.
 
-The contour values of (J0, J2) come from a dense Picard-Fuchs continuation
-along the contour itself, computed once per ContourSpec and shared by all
-elements; the continuation returning to its seed after the full loop is a
-built-in consistency check.  The table also caches h and J2/J0 at the fixed
-contour samples, so an element's F is one array evaluation per piece; only
-phase steps of pi/4 or more are refined, by bisection through the dense
-output.
+The contour values of (J0, J2) come from the closed form on the cut plane,
+:func:`cut_plane_J`, evaluated once per ContourSpec at the fixed contour
+samples and shared by all elements; J0 winding zero times over those
+samples is the table's built-in check.  The table caches h and J2/J0 there,
+so an element's F is one array evaluation per piece; only phase steps of
+pi/4 or more are refined, by bisection with the closed form at the
+midpoints.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import brentq
 
-from .elliptic import _pf_J, _solve_piece, periods_real
+from .elliptic import cut_plane_J, periods_real
 from .exactalg import Poly, PolyU
-from .forms import EIGHT_EXTERIOR, AnnulusCase
+from .forms import AnnulusCase
 
 __all__ = [
     "VElement",
@@ -332,7 +332,7 @@ class ContourSpec:
 
 
 class _ContourTable:
-    """Dense (J0, J2) along the contour, shared across elements."""
+    """(J0, J2) along the contour from the closed form, shared across elements."""
 
     def __init__(self, spec: ContourSpec):
         self.spec = spec
@@ -343,72 +343,43 @@ class _ContourTable:
         hi = math.log(Rt)
 
         def circle(t):
-            h = R * cmath.exp(1j * t)
-            return h, 1j * h
+            return R * np.exp(1j * t)
 
-        def edge_up_log(t):  # t in [hi, lo] descending: h = -e^t + i d
-            return complex(-math.exp(t), d), complex(-math.exp(t), 0.0)
-
-        def edge_up_lin(t):  # t in [-d, 0]
-            return complex(t, d), complex(1.0, 0.0)
-
-        def semicircle(t):  # t from pi/2 to -pi/2
-            h = d * cmath.exp(1j * t)
-            return h, 1j * h
-
-        def edge_dn_lin(t):  # t in [0, -d]
-            return complex(t, -d), complex(1.0, 0.0)
-
-        def edge_dn_log(t):  # t in [lo, hi]: h = -e^t - i d
-            return complex(-math.exp(t), -d), complex(-math.exp(t), 0.0)
-
+        # the edges are log-parametrised away from the slit end: h = -e^t +- i d
         self.pieces = [
             (circle, 0.0, math.pi - phi_d, spec.samples_circle),
-            (edge_up_log, hi, lo, spec.samples_edge),
-            (edge_up_lin, -d, 0.0, spec.samples_near),
-            (semicircle, 0.5 * math.pi, -0.5 * math.pi, spec.samples_near),
-            (edge_dn_lin, 0.0, -d, spec.samples_near),
-            (edge_dn_log, lo, hi, spec.samples_edge),
+            (lambda t: -np.exp(t) + 1j * d, hi, lo, spec.samples_edge),
+            (lambda t: t + 1j * d, -d, 0.0, spec.samples_near),
+            (lambda t: d * np.exp(1j * t), 0.5 * math.pi, -0.5 * math.pi, spec.samples_near),
+            (lambda t: t - 1j * d, 0.0, -d, spec.samples_near),
+            (lambda t: -np.exp(t) - 1j * d, lo, hi, spec.samples_edge),
             (circle, -(math.pi - phi_d), 0.0, spec.samples_circle),
         ]
-
-        seed = periods_real(EIGHT_EXTERIOR, R, 1e-13)
-        I0, I2 = complex(seed.I0), complex(seed.I2)
-        self._seed = (I0, I2)
-        self.sols = []
-        for path, t0, t1, _ in self.pieces:
-            (I0, I2), sol = _solve_piece(path, t0, t1, I0, I2, dense=True)
-            self.sols.append(sol)
-        self.closure_error = abs(I0 - self._seed[0]) / abs(self._seed[0]) + abs(
-            I2 - self._seed[1]
-        ) / abs(self._seed[1])
-        if self.closure_error > 1e-7:
-            raise RuntimeError(
-                f"contour continuation failed to close: error {self.closure_error:.2e}"
-            )
 
         # (ts, hs, J2/J0) at the fixed samples of each piece: element-free, so
         # each element costs one array pass per piece
         self.samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for (path, t0, t1, n), sol in zip(self.pieces, self.sols):
+        turn = 0.0
+        for path, t0, t1, n in self.pieces:
             ts = np.linspace(t0, t1, n)
-            hs = np.array([path(float(t))[0] for t in ts])
-            y = sol.sol(ts)
-            J0, J2 = _pf_J(hs, y[0] + 1j * y[1], y[2] + 1j * y[3])
+            hs = path(ts)
+            J0, J2, _ = cut_plane_J(hs)
+            turn += float(np.sum(np.angle(J0[1:] / J0[:-1])))
             self.samples.append((ts, hs, J2 / J0))
+        # the argument principle counts zeros of F = ptilde J2/J0 + qtilde
+        # only if J0 has no zeros inside; an odd number of sign slips of the
+        # closed form's branch would show here as a half turn
+        self.J0_winding = turn / (2.0 * math.pi)
+        if abs(self.J0_winding) >= 0.05:
+            raise RuntimeError(f"J0 winds {self.J0_winding:.3f} times along the contour")
 
     def jj_at(self, piece: int, t: float) -> tuple[complex, complex, complex]:
-        """(h, J0, J2) at parameter t of a piece (dense-output backed)."""
-        path, *_ = self.pieces[piece]
-        h, _ = path(t)
-        y = self.sols[piece].sol(t)
-        I0 = y[0] + 1j * y[1]
-        I2 = y[2] + 1j * y[3]
-        J0, J2 = _pf_J(h, I0, I2)
-        return h, J0, J2
+        """(h, J0, J2) at parameter t of a piece."""
+        h = complex(self.pieces[piece][0](t))
+        J0, J2, _ = cut_plane_J(h)
+        return h, complex(J0), complex(J2)
 
 
-# a table holds about 0.5 MB of dense output
 @functools.lru_cache(maxsize=4)
 def _contour_table(spec: ContourSpec) -> _ContourTable:
     return _ContourTable(spec)

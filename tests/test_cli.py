@@ -185,6 +185,27 @@ def test_periods_grid_csv(capsys):
     assert len(lines) == 5
 
 
+def test_periods_complex_level_routes_agree(capsys):
+    argv = ("periods", "--case", "eight-exterior", "--h", "1+0.5j")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    closed = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--route", "pf-ode")
+    assert code == 0
+    ode = json.loads(out)
+    for key in ("I0", "I2", "J0", "J2"):
+        a, b = complex(*closed[key]), complex(*ode[key])
+        assert abs(a - b) <= 1e-9 * abs(b), key
+    assert closed["branch"] == ode["branch"] == "plus-side"
+
+
+def test_periods_contour_route_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["periods", "--case", "eight-exterior", "--h", "1+0.5j", "--route", "contour"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'contour'" in capsys.readouterr().err
+
+
 def test_pfcheck_subcommand(capsys):
     code, out, _ = run(capsys, "pfcheck", "--case", "eight-exterior", "--grid", "10")
     assert code == 0

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from raylien.elliptic import (
-    ContourObstructionError,
     QuadratureError,
     case_grid,
+    cut_plane_J,
     oval_geometry,
     periods_complex,
     periods_real,
@@ -19,7 +19,7 @@ from raylien.elliptic import (
     wronskians,
 )
 from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
-from raylien.zeros import scan_grid
+from raylien.zeros import ContourSpec, _contour_table, scan_grid
 
 
 # -- oval geometry -----------------------------------------------------------
@@ -308,7 +308,7 @@ def test_pf_residual_rejects_other_cases():
 
 def test_contour_route_matches_real_axis():
     pr = periods_real(EIGHT_EXTERIOR, 2.0, 1e-12)
-    pc = periods_complex(2.0, route="contour")
+    pc = periods_complex(2.0, route="closed-form")
     for attr in ("I0", "I2", "J0", "J2"):
         assert complex(getattr(pc, attr)) == pytest.approx(
             complex(getattr(pr, attr)), rel=1e-10
@@ -317,11 +317,50 @@ def test_contour_route_matches_real_axis():
 
 @pytest.mark.parametrize("h", [0.5 + 0.3j, 2.0 + 1.0j, 1.0 - 2.0j, 10.0 + 5.0j])
 def test_contour_and_pf_routes_agree(h):
-    a = periods_complex(h, route="contour")
+    a = periods_complex(h, route="closed-form")
     b = periods_complex(h, route="pf-ode")
     for attr in ("I0", "I2", "J0", "J2"):
         va, vb = complex(getattr(a, attr)), complex(getattr(b, attr))
         assert va == pytest.approx(vb, rel=1e-9)
+
+
+@pytest.mark.parametrize("piece", range(7))
+def test_closed_form_follows_pf_continuation_along_the_contour(piece):
+    """Branch continuity: every 20th table sample and both ends of a piece."""
+    _, hs, ratio = _contour_table(ContourSpec()).samples[piece]
+    for i in sorted({*range(0, len(hs), 20), len(hs) - 1}):
+        J0, J2, _ = cut_plane_J(hs[i])
+        ref = pf_continue(complex(hs[i]))
+        assert abs(J0 - ref.J0) <= 1e-9 * abs(ref.J0), hs[i]
+        assert abs(J2 - ref.J2) <= 1e-9 * abs(ref.J2), hs[i]
+        assert abs(ratio[i] - ref.J2 / ref.J0) <= 1e-9 * abs(ratio[i]), hs[i]
+
+
+def _mp_cut_plane_J(h, mp):
+    """cut_plane_J's closed form at the working precision."""
+    sq = mp.sqrt(1 + 4 * h)
+    A, B = 4 * h / (1 + sq), 2 * sq
+    c, s = B / 3 * mp.elliprd(0, A, B), A / 3 * mp.elliprd(0, B, A)
+    return 4 * (c + s) / mp.sqrt(0.5), 4 * (1 + sq) * s / mp.sqrt(0.5)
+
+
+@pytest.mark.parametrize("h", [0.5 + 0.3j, -0.2 + 1e-3j, -1e3 - 1e-3j, 1e-3j, -0.1, -0.02], ids=str)
+def test_cut_plane_rounding_bound_against_40_digit_mpmath(h):
+    """est_error covers the rounding error of all four values; real h is the
+    vanishing cycle, whose I2 (about h^2) cancels in the Picard-Fuchs sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if isinstance(h, complex):
+            pv = periods_complex(h)
+            J0, J2 = _mp_cut_plane_J(mpmath.mpc(h), mpmath)
+        else:
+            pv = vanishing_cycle_periods(h, tol=1e-10)
+            up = _mp_cut_plane_J(mpmath.mpc(h, 1e-30), mpmath)
+            dn = _mp_cut_plane_J(mpmath.mpc(h, -1e-30), mpmath)
+            J0, J2 = (dn[0] - up[0]) / 2, (dn[1] - up[1]) / 2
+        want = ((4 * h * J0 + J2) / 3, (4 * h * J0 + (12 * h + 4) * J2) / 15, J0, J2)
+        for got, ref in zip((pv.I0, pv.I2, pv.J0, pv.J2), want):
+            assert abs(got - ref) <= pv.est_error * abs(ref), (got, ref)
 
 
 def test_conjugate_symmetry():
@@ -379,6 +418,13 @@ def test_wronskian_imaginary_and_constant():
     spread = max(abs(a - b) for a in w1 for b in w1)
     assert spread <= 1e-6 * abs(w1[0])
     assert all(wronskians(h)[1] == "W1" for h in (-0.2, -0.1))
+
+
+@pytest.mark.parametrize(
+    "h, w", [(-0.20, -32j), (-0.15, -32j), (-0.10, -32j), (-0.5, -16j), (-1.0, -16j), (-2.0, -16j)]
+)
+def test_wronskian_values(h, w):
+    assert wronskians(h)[0] == pytest.approx(w * math.pi, rel=1e-10)
 
 
 def test_wronskian_tags_and_ratio():

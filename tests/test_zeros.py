@@ -414,7 +414,7 @@ def _seeded_J_elements(seed, n):
 
 
 def _scalar_winding(e, spec):
-    """Reference: F from one dense-output evaluation per contour sample."""
+    """Reference: F from one scalar closed-form evaluation per contour sample."""
     table = _contour_table(spec)
     pc = [float(e.p[k]) for k in (2, 1, 0)]
     qc = [float(e.q[k]) for k in (2, 1, 0)]
@@ -455,9 +455,21 @@ def test_coarse_contour_refines_wide_steps_to_the_same_count(monkeypatch):
         w, n = winding_number_F(e, coarse)
         assert n == n_default
         assert abs(w - n) < 1e-6
-    assert calls  # the wide steps went through the dense-output refinement
+    assert calls  # the wide steps went through the midpoint refinement
     w, _ = winding_number_F(elements[0], coarse)
     assert w == pytest.approx(_scalar_winding(elements[0], coarse), rel=0, abs=1e-12)
+
+
+def test_contour_table_refuses_a_J0_that_winds(monkeypatch):
+    closed_form = zeros.cut_plane_J
+
+    def with_a_zero_inside(h):
+        J0, J2, est = closed_form(h)
+        return J0 * (h - 1.0), J2, est
+
+    monkeypatch.setattr(zeros, "cut_plane_J", with_a_zero_inside)
+    with pytest.raises(RuntimeError, match="J0 winds 1.000 times"):
+        _ContourTable(ContourSpec())
 
 
 def test_winding_refuses_a_zero_on_the_contour():
