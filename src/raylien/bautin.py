@@ -7,7 +7,8 @@ order of an arc as the minimal eps-valuation of the generators along it;
 ``nakayama_certify`` certifies that a generating set with higher-order tails
 generates the same local ideal as its leading part, by exhibiting the
 inverse transition matrix as a truncated power series with exact zero
-residual through the requested degree.
+residual through the requested degree.  It divides in coordinates where
+the linear generators are variables, so that the generators are monomials.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MultiPoly, Poly, RationalLike, rat
+from .exactalg import MultiPoly, Poly, RationalLike, rat, solve_linear_exact
 from .forms import AnnulusCase
 
 
@@ -100,7 +101,7 @@ class MembershipError(ValueError):
 class NakayamaCertificate:
     """b0_i = sum_j (delta_ij + a_tilde_ij) b_j, exact through the cap."""
 
-    entries: tuple[tuple[Poly, ...], ...]  # a_tilde, zero constant terms
+    entries: tuple[tuple[Poly, ...], ...]  # a_tilde; its constant part is nilpotent
     truncation_degree: int
 
     def reconstruct(self, b: list[Poly]) -> list[Poly]:
@@ -119,35 +120,44 @@ def _grlex_key(e: tuple[int, ...]):
     return (sum(e), e)
 
 
-def _leading_monomial(p: Poly) -> tuple[int, ...]:
-    return max(p.coeffs, key=_grlex_key)
+def _linear_coordinates(b0: list[Poly]) -> tuple[list[Poly], list[Poly]] | None:
+    """Coordinates mu in which the linear generators of b0 are variables.
 
-
-def _divides(e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
-
-
-def _division(p: Poly, gens: list[Poly]) -> tuple[list[Poly], Poly]:
-    """Multivariate division with remainder (grlex leading terms)."""
-    nv = len(p.vars)
-    quot = [MultiPoly.zero(nv) for _ in gens]
-    rem = MultiPoly.zero(nv)
-    work = p
-    lead = [( _leading_monomial(g), g.coeffs[_leading_monomial(g)]) for g in gens]
-    while not work.is_zero():
-        e = _leading_monomial(work)
-        c = work.coeffs[e]
-        for gi, (le, lc) in enumerate(lead):
-            if _divides(le, e):
-                shift = tuple(a - b for a, b in zip(e, le))
-                t = MultiPoly(nv, {shift: c / lc})
-                quot[gi] = quot[gi] + t
-                work = work - t * gens[gi]
-                break
-        else:
-            rem = rem + MultiPoly(nv, {e: c})
-            work = work - MultiPoly(nv, {e: c})
-    return quot, rem
+    Each homogeneous linear generator, reduced against the ones before it,
+    becomes mu_p for its first nonzero variable p, where the variables
+    that the other generators use come last; every other variable is its
+    own coordinate, so generators in those variables alone keep their
+    form.  Returns (mu as linear polynomials in lambda, lambda as linear
+    polynomials in mu), or None when mu = lambda.  Raises ValueError when
+    the linear generators are linearly dependent.
+    """
+    nv = len(b0[0].vars)
+    units = [tuple(int(i == k) for i in range(nv)) for k in range(nv)]
+    identity = [[Fraction(int(i == k)) for i in range(nv)] for k in range(nv)]
+    M = [row[:] for row in identity]
+    linear = [g.degree() == 1 and g.valuation() == 1 for g in b0]
+    used = {i for g, lin in zip(b0, linear) if not lin for e in g.coeffs for i, x in enumerate(e) if x}
+    order = sorted(range(nv), key=lambda i: i in used)
+    reduced: list[tuple[int, list[Fraction]]] = []
+    for g, lin in zip(b0, linear):
+        if not lin:
+            continue
+        row = [g[e] for e in units]
+        w = row[:]
+        for p, v in reduced:
+            if w[p]:
+                f = w[p] / v[p]
+                w = [x - f * y for x, y in zip(w, v)]
+        p = next((i for i in order if w[i]), None)
+        if p is None:
+            raise ValueError(f"linear generator {g} depends on the ones before it")
+        reduced.append((p, w))
+        M[p] = row
+    if M == identity:
+        return None
+    columns = [solve_linear_exact(M, units[k]) for k in range(nv)]
+    lam = [MultiPoly(nv, {units[i]: columns[i][k] for i in range(nv)}) for k in range(nv)]
+    return [MultiPoly(nv, dict(zip(units, row))) for row in M], lam
 
 
 def nakayama_certify(
@@ -155,46 +165,86 @@ def nakayama_certify(
 ) -> NakayamaCertificate:
     """Certify that (b) and (b0) generate the same local ideal.
 
-    Writes b_i = b0_i + sum_j a_ij b0_j with every a_ij vanishing at the
-    origin (division with remainder; raises :class:`MembershipError` with
-    the offending monomial otherwise), inverts I + A as a Neumann series
-    truncated at ``degree_cap``, and verifies that the certificate
-    reconstructs b0 from b with exact zero residual through the cap.
+    Works in coordinates mu in which the homogeneous linear generators of
+    b0 are variables (for the Bautin generators mu = (l1, l2 + 3a l3, l3,
+    l4 + 3b l3, l5, l6)); there every generator of b0 must be a monomial,
+    else ValueError.  Monomials are a Groebner basis, so dividing each tail
+    b_i - b0_i by them term by term is a membership test: it writes
+    b_i = b0_i + sum_j a_ij b0_j or raises :class:`MembershipError` with
+    the offending monomial (in mu).  The a_ij are mapped back to lambda.
+    Their values at the origin must form a nilpotent matrix (zero when
+    every tail is in m*(b0); a tail such as l4^3 = -27b^3 l3^3 mod (l4 + 3b
+    l3) needs a unit multiple of l3^3), else :class:`MembershipError`.
+    Then I + A is inverted as a Neumann series truncated at ``degree_cap``,
+    and the certificate is verified to reconstruct b0 from b with exact
+    zero residual through the cap.
     """
     if len(b) != len(b0) or not b:
         raise ValueError("b and b0 must be nonempty lists of equal length")
     k = len(b)
     nv = len(b[0].vars)
     zero = MultiPoly.zero(nv)
+    coords = _linear_coordinates(b0)
+
+    def in_mu(p: Poly) -> Poly:
+        return p if coords is None else p.compose_series(coords[1])
+
+    def in_lambda(p: Poly) -> Poly:
+        return p if coords is None else p.compose_series(coords[0])
+
+    gens = []
+    for j, g in enumerate(b0):
+        g_mu = in_mu(g)
+        if len(g_mu.coeffs) != 1:
+            raise ValueError(
+                f"b0_{j} = {g} is not a monomial in the coordinates of the linear generators"
+            )
+        gens.append(next(iter(g_mu.coeffs.items())))
 
     A: list[list[Poly]] = []
     for i in range(k):
         tail = b[i] - b0[i]
-        quot, rem = _division(tail, list(b0))
-        if not rem.is_zero():
-            mono = _leading_monomial(rem)
+        quot: list[dict[tuple[int, ...], Fraction]] = [{} for _ in gens]
+        rem = {}
+        for e, c in in_mu(tail).coeffs.items():
+            for j, (le, lc) in enumerate(gens):
+                if all(x >= y for x, y in zip(e, le)):
+                    quot[j][tuple(x - y for x, y in zip(e, le))] = c / lc
+                    break
+            else:
+                rem[e] = c
+        if rem:
+            mono = max(rem, key=_grlex_key)
             raise MembershipError(
-                f"tail of generator {i} has remainder term {MultiPoly(nv, {mono: rem.coeffs[mono]})}"
+                f"tail of generator {i} has remainder term {MultiPoly(nv, {mono: rem[mono]})}"
                 " outside (b0)",
                 i,
                 mono,
             )
-        for j, q in enumerate(quot):
-            if q.coeffs.get((0,) * nv, Fraction(0)) != 0:
-                raise MembershipError(
-                    f"tail of generator {i} needs a unit multiple of b0_{j}:"
-                    " not inside m*(b0)",
-                    i,
-                    (0,) * nv,
-                )
-        A.append(quot)
+        A.append([in_lambda(MultiPoly(nv, q)) for q in quot])
 
-    # S = sum_{m>=0} (-A)^m, truncated: entries of A^m have valuation >= m
+    # the Neumann series converges m-adically iff the unit part C = A(0) is
+    # nilpotent; then C^k = 0 and A^m has valuation >= m // k
+    origin = (0,) * nv
+    C = [[q[origin] for q in row] for row in A]
+    power = C
+    for _ in range(k - 1):
+        power = [[sum(x * C[l][j] for l, x in enumerate(r)) for j in range(k)] for r in power]
+    if any(map(any, power)):
+        i, j = next((i, j) for i in range(k) for j in range(k) if C[i][j])
+        raise MembershipError(
+            f"tail of generator {i} needs a unit multiple of b0_{j}, and the unit parts"
+            " of the transition matrix are not nilpotent: not inside m*(b0)",
+            i,
+            origin,
+        )
+
+    # S = sum_{m>=0} (-A)^m, truncated
     S: list[list[Poly]] = [
         [MultiPoly.const(nv, 1) if i == j else zero for j in range(k)] for i in range(k)
     ]
     term: list[list[Poly]] = [row[:] for row in S]
-    for _ in range(degree_cap):
+    for _ in range(k * (degree_cap + 1)):
         new = [[zero for _ in range(k)] for _ in range(k)]
         any_nonzero = False
         for i in range(k):

@@ -11,6 +11,12 @@ build its three uses: :class:`PolyU` (univariate in 'h', 'H' or 'eps'),
 (the perturbation parameters l1..ln, for ideals).  :func:`substitute_h`
 turns formal terms c H^e x^a y^b into polynomials in (x, y).
 
+One exact elimination serves every linear system: Gauss-Jordan on sparse
+rows {column: Fraction} with an index from each column to the rows that
+hold it, under a deterministic pivot rule.  :func:`solve_linear_exact`
+takes dense or sparse rows; :func:`row_reduce` returns the same reduction
+as dense rows.
+
 Polynomials are immutable after construction and safe to share across
 threads.  Zero coefficients are never stored; the zero polynomial has an
 empty coefficient map and degree -1 (a finite stand-in for "minus infinity"
@@ -342,75 +348,142 @@ def substitute_h(terms: Mapping[tuple[int, int, int], Fraction], H: Poly) -> Pol
     return out
 
 
-def row_reduce(
-    rows: Sequence[Sequence[RationalLike]],
-    rhs: Sequence[RationalLike],
-    column_order: Sequence[int] | None = None,
-) -> tuple[list[list[Fraction]], list[Fraction], list[tuple[int, int]]]:
-    """Reduced row echelon form of the augmented system [A | b].
+SparseRow = Mapping[int, RationalLike]
 
-    Deterministic pivot rule: columns are visited in ``column_order``
-    (identity by default), the pivot row is the first remaining row with a
-    nonzero entry, and it is swapped into place.  Returns the reduced rows,
-    the reduced right-hand side, and the pivots as (row, column) pairs;
-    rows after the last pivot are zero in A.
+
+def _sparse_system(
+    rows: Sequence[Sequence[RationalLike]] | Sequence[SparseRow],
+    rhs: Sequence[RationalLike],
+    column_order: Sequence[int] | None,
+) -> tuple[list[dict[int, Fraction]], list[Fraction], list[int], int]:
+    """Validate [A | b] and copy A to rows {column: nonzero Fraction}.
+
+    Dense rows are sequences of one length; sparse rows are mappings
+    {column: coefficient}, with as many columns as ``column_order`` has
+    entries, or else one more than the largest column index.  Returns the
+    rows, the right-hand side, the column order and the column count.
     """
-    m = len(rows)
-    a = [[rat(c) for c in row] for row in rows]
     b = [rat(c) for c in rhs]
-    if len(b) != m:
+    if len(b) != len(rows):
         raise ValueError("rhs length mismatch")
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise ValueError("ragged matrix")
+    sparse = bool(rows) and isinstance(rows[0], Mapping)
+    if any(isinstance(row, Mapping) != sparse for row in rows):
+        raise ValueError("mixed dense and sparse rows")
+    if sparse:
+        a = [{c: q for c, v in row.items() if (q := rat(v))} for row in rows]
+        if column_order is not None:
+            n = len(column_order)
+        else:
+            n = 1 + max((c for row in a for c in row), default=-1)
+        if any(not 0 <= c < n for row in a for c in row):
+            raise ValueError("column index out of range")
+    else:
+        n = len(rows[0]) if rows else 0
+        if any(len(row) != n for row in rows):
+            raise ValueError("ragged matrix")
+        a = [{c: q for c, v in enumerate(row) if (q := rat(v))} for row in rows]
     order = list(column_order) if column_order is not None else list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("column_order must be a permutation")
+    return a, b, order, n
 
+
+def _rref(rows: list[dict[int, Fraction]], rhs: list[Fraction], order: list[int]) -> list[tuple[int, int]]:
+    """Reduce the rows {column: nonzero Fraction} and rhs in place; return the pivots.
+
+    Columns are visited in ``order``; the pivot row is the first remaining
+    row with a nonzero entry in the column, swapped into place.
+    ``holding[c]`` is the set of rows with a nonzero entry in column c, so a
+    pivot search and an elimination step touch only the rows that hold the
+    column.
+    """
+    m = len(rows)
+    holding: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            holding.setdefault(c, set()).add(r)
     pivots: list[tuple[int, int]] = []
     row_at = 0
     for col in order:
         if row_at == m:
             break
-        piv = None
-        for r in range(row_at, m):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = min((r for r in holding.get(col, ()) if r >= row_at), default=None)
         if piv is None:
             continue
-        a[row_at], a[piv] = a[piv], a[row_at]
-        b[row_at], b[piv] = b[piv], b[row_at]
-        inv = 1 / a[row_at][col]
-        a[row_at] = [c * inv for c in a[row_at]]
-        b[row_at] *= inv
-        for r in range(m):
-            if r != row_at and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [c - f * p for c, p in zip(a[r], a[row_at])]
-                b[r] -= f * b[row_at]
+        if piv != row_at:
+            for r in (row_at, piv):
+                for c in rows[r]:
+                    holding[c].discard(r)
+            rows[row_at], rows[piv] = rows[piv], rows[row_at]
+            rhs[row_at], rhs[piv] = rhs[piv], rhs[row_at]
+            for r in (row_at, piv):
+                for c in rows[r]:
+                    holding[c].add(r)
+        inv = 1 / rows[row_at][col]
+        prow = rows[row_at] = {c: v * inv for c, v in rows[row_at].items()}
+        pb = rhs[row_at] = rhs[row_at] * inv
+        for r in [r for r in holding[col] if r != row_at]:
+            row = rows[r]
+            f = row[col]
+            for c, p in prow.items():
+                v = row.get(c)
+                if v is None:
+                    row[c] = -f * p
+                    holding[c].add(r)
+                elif v := v - f * p:
+                    row[c] = v
+                else:
+                    del row[c]
+                    holding[c].discard(r)
+            rhs[r] -= f * pb
         pivots.append((row_at, col))
         row_at += 1
-    return a, b, pivots
+    return pivots
+
+
+def row_reduce(
+    rows: Sequence[Sequence[RationalLike]] | Sequence[SparseRow],
+    rhs: Sequence[RationalLike],
+    column_order: Sequence[int] | None = None,
+) -> tuple[list[list[Fraction]], list[Fraction], list[tuple[int, int]]]:
+    """Reduced row echelon form of the augmented system [A | b], as dense rows.
+
+    Deterministic pivot rule: columns are visited in ``column_order``
+    (identity by default), the pivot row is the first remaining row with a
+    nonzero entry, and it is swapped into place.  The rows may be dense or
+    sparse (see :func:`solve_linear_exact`); the elimination is the sparse
+    one of :func:`solve_linear_exact`, and the result is the unique RREF
+    for the column order.  Returns the reduced rows, the reduced
+    right-hand side, and the pivots as (row, column) pairs; rows after the
+    last pivot are zero in A.
+    """
+    a, b, order, n = _sparse_system(rows, rhs, column_order)
+    pivots = _rref(a, b, order)
+    return [[row.get(c, _ZERO) for c in range(n)] for row in a], b, pivots
 
 
 def solve_linear_exact(
-    rows: Sequence[Sequence[RationalLike]],
+    rows: Sequence[Sequence[RationalLike]] | Sequence[SparseRow],
     rhs: Sequence[RationalLike],
     column_order: Sequence[int] | None = None,
 ) -> list[Fraction] | None:
     """Solve A x = b exactly over the rationals.
 
-    Gaussian elimination with the deterministic pivot rule of
-    :func:`row_reduce` (callers pass a graded-lex order over their unknowns
-    as ``column_order``); free variables are set to zero.  Returns one exact
-    solution or None when the system is inconsistent.  The result always
-    satisfies A x - b = 0 exactly.
+    The rows of A are dense sequences of one length, or sparse mappings
+    {column: coefficient}; sparse rows have as many columns as
+    ``column_order`` has entries, or else one more than the largest column
+    index.  Gauss-Jordan elimination on sparse rows, with an index from
+    each column to the rows that hold it, under the deterministic pivot
+    rule of :func:`row_reduce` (callers pass a graded-lex order over their
+    unknowns as ``column_order``); free variables are set to zero.  Returns
+    one exact solution or None when the system is inconsistent.  The
+    result always satisfies A x - b = 0 exactly.
     """
-    a, b, pivots = row_reduce(rows, rhs, column_order)
-    if any(b[r] != 0 for r in range(len(pivots), len(b))):
+    a, b, order, n = _sparse_system(rows, rhs, column_order)
+    pivots = _rref(a, b, order)
+    if any(b[len(pivots):]):
         return None
-    x = [_ZERO] * (len(a[0]) if a else 0)
+    x = [_ZERO] * n
     for r, col in pivots:
         x[col] = b[r]
     return x

@@ -14,9 +14,14 @@ are provided:
   integration by parts and the energy relation y^2 = 2H - a x^2 - (b/2) x^4.
   Linear in the number of terms, fast enough for deep recursions.
 * ``method='ansatz'``: undetermined coefficients for (u, v, r, R) up to
-  degree bounds, solved with the deterministic exact linear solver.  Slower;
-  kept as a structurally independent cross-check and for pivot-order
-  experiments.
+  degree bounds, solved by the deterministic sparse exact elimination of
+  :func:`~raylien.exactalg.solve_linear_exact` on the system's own
+  {column: coefficient} rows.  Up to two attempts grow with the total
+  degree (deg//4 + 1, deg + 2, deg + 2) and (deg//4 + 3, deg + 6, deg + 6)
+  for (deg_uv, deg_r, deg_R); a last one at a weighted-degree cap is sound,
+  so the engine fails only where no decomposition exists.  Some 30 times
+  slower than the rewrite engine on dense forms of degree 3 to 7; kept as
+  a structurally independent cross-check and for pivot-order experiments.
 
 Both engines verify their output identity exactly before returning.
 
@@ -366,18 +371,15 @@ def _reduce_ansatz(
     for (i, j), c in omega.Q.coeffs.items():
         targets[("Q", (i, j))] = c
 
-    all_rows = sorted(set(rows) | set(targets))
-    A = []
-    bvec = []
-    for key in all_rows:
-        row = rows.get(key, {})
-        A.append([row.get(col, Fraction(0)) for col in range(n)])
-        bvec.append(targets.get(key, Fraction(0)))
-
+    keys = sorted(set(rows) | set(targets))
     col_order = list(range(n))
     if pivot_order == "reversed":
         col_order = col_order[::-1]
-    sol = solve_linear_exact(A, bvec, column_order=col_order)
+    sol = solve_linear_exact(
+        [rows.get(key, {}) for key in keys],
+        [targets.get(key, Fraction(0)) for key in keys],
+        column_order=col_order,
+    )
     if sol is None:
         return None
 
@@ -386,6 +388,31 @@ def _reduce_ansatz(
     r = PolyXY({k: sol[index[("r", k)]] for k in r_keys})
     R = PolyXY({k: sol[index[("R", k)]] for k in R_keys})
     return CanonicalDecomposition(u, v, r, R)
+
+
+def _ansatz_bounds(omega: OneForm) -> list[tuple[int, int, int]]:
+    """The (deg_uv, deg_r, deg_R) of the ansatz attempts, smallest first.
+
+    The first two attempts grow with the total degree.  The last one is a
+    sound cap from the rewrite engine.  Give x and dx weight 1, y and dy
+    weight 2, so that H weighs at most 4 and d keeps weight, and let W be
+    the largest weight of a term of omega.  Every rewrite rule replaces a
+    term by terms of at most its weight, so the rewrite engine's
+    decomposition has R of weight <= W, r of weight <= W - 4 (r dH weighs
+    <= W) and u, v of H-degree <= (W - 3) // 4 (H^k y dx weighs 4k + 3).
+    Total degree never exceeds weight, so whenever a decomposition exists
+    the ansatz is consistent at ((W - 3) // 4, W - 4, W).  The cap is an
+    attempt of its own only when the second attempt does not contain it.
+    """
+    deg = max(omega.degree(), 1)
+    attempts = [(deg // 4 + 1, deg + 2, deg + 2), (deg // 4 + 3, deg + 6, deg + 6)]
+    weights = [a + 2 * b + 1 for a, b in omega.P.coeffs]
+    weights += [a + 2 * b + 2 for a, b in omega.Q.coeffs]
+    w = max(weights, default=0)
+    cap = ((w - 3) // 4, w - 4, w)
+    if any(c > a for c, a in zip(cap, attempts[-1])):
+        attempts.append(cap)
+    return attempts
 
 
 def reduce(
@@ -401,24 +428,22 @@ def reduce(
     is verified exactly before returning.
 
     Raises :class:`DecompositionError` when no decomposition exists (only
-    possible for inputs with an odd/odd monomial sector) or, for the ansatz
-    engine, when the degree bounds are exhausted.
+    possible for inputs with an odd/odd monomial sector).  The ansatz
+    engine's last degree bound is sound (see :func:`_ansatz_bounds`), so it
+    raises for no other reason.
     """
     if method == "rewrite":
         dec = _reduce_rewrite(omega, case)
     elif method == "ansatz":
-        deg = max(omega.degree(), 1)
         dec = None
-        for attempt in range(2):
-            deg_uv = deg // 4 + 1 + 2 * attempt
-            deg_r = deg + 2 + 4 * attempt
-            deg_R = deg + 2 + 4 * attempt
-            dec = _reduce_ansatz(omega, case, deg_uv, deg_r, deg_R, pivot_order)
+        for bounds in _ansatz_bounds(omega):
+            dec = _reduce_ansatz(omega, case, *bounds, pivot_order)
             if dec is not None:
                 break
         if dec is None:
             raise DecompositionError(
-                f"degree bound exhausted for ansatz reduction at degree {deg}"
+                "no canonical decomposition: the ansatz has no solution at degree"
+                f" bounds {bounds}, which contain the weighted-degree cap"
             )
     else:
         raise ValueError(f"unknown method {method!r}")

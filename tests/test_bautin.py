@@ -151,6 +151,28 @@ def test_nakayama_unit_quotient_failure():
         nakayama_certify([b0[0].scale(2), b0[1]], b0, 8)
 
 
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+def test_nakayama_certifies_tails_of_the_bautin_generators(case):
+    # l4^3 = -27 b^3 l3^3 modulo l4 + 3b l3: a valid tail of l1, which a
+    # grlex division by the generators themselves reports as outside (b0)
+    b0 = list(bautin_generators(case.a, case.b))
+    b = list(b0)
+    b[0] = b[0] + lam(4) ** 3
+    b[3] = b[3] + lam(1) * lam(4) + lam(2) * lam(3) ** 2
+    cert = nakayama_certify(b, b0, 6)
+    for r, g in zip(cert.reconstruct(b), b0):
+        assert (r - g.truncate(6)).is_zero()
+    assert cert.entries[0][2][(0,) * 6] == 27 * case.b**3
+
+
+def test_nakayama_needs_monomials_in_the_linear_coordinates():
+    l1, l2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    with pytest.raises(ValueError, match="not a monomial"):
+        nakayama_certify([l1, l2**2], [l1, l1 * l2 + l2**2], 4)
+    with pytest.raises(ValueError, match="depends on"):
+        nakayama_certify([l1, l1], [l1, l1.scale(2)], 4)
+
+
 # -- rescaling ---------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """Exact algebra layer: polynomials, solver, determinism."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raylien import forms
 from raylien.exactalg import (
     MultiPoly,
     PolyU,
@@ -14,6 +16,7 @@ from raylien.exactalg import (
     hamiltonian_xy,
     rat,
     rat_str,
+    row_reduce,
     solve_linear_exact,
     substitute_h,
 )
@@ -140,6 +143,141 @@ def test_solver_overdetermined_contradiction():
 def test_solver_column_order_changes_free_variable():
     # reversed order pivots on the second column instead
     assert solve_linear_exact([[1, 1]], [1], column_order=[1, 0]) == [F(0), F(1)]
+
+
+def _dense_row_reduce(rows, rhs, column_order=None):
+    """The dense Gauss-Jordan loop that the sparse elimination replaced."""
+    m = len(rows)
+    a = [[rat(c) for c in row] for row in rows]
+    b = [rat(c) for c in rhs]
+    if len(b) != m:
+        raise ValueError("rhs length mismatch")
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("ragged matrix")
+    order = list(column_order) if column_order is not None else list(range(n))
+    if sorted(order) != list(range(n)):
+        raise ValueError("column_order must be a permutation")
+
+    pivots = []
+    row_at = 0
+    for col in order:
+        if row_at == m:
+            break
+        piv = None
+        for r in range(row_at, m):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        a[row_at], a[piv] = a[piv], a[row_at]
+        b[row_at], b[piv] = b[piv], b[row_at]
+        inv = 1 / a[row_at][col]
+        a[row_at] = [c * inv for c in a[row_at]]
+        b[row_at] *= inv
+        for r in range(m):
+            if r != row_at and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [c - f * p for c, p in zip(a[r], a[row_at])]
+                b[r] -= f * b[row_at]
+        pivots.append((row_at, col))
+        row_at += 1
+    return a, b, pivots
+
+
+def _solution(reduced):
+    """solve_linear_exact's answer read off a reduced system."""
+    a, b, pivots = reduced
+    if any(b[r] != 0 for r in range(len(pivots), len(b))):
+        return None
+    x = [F(0)] * (len(a[0]) if a else 0)
+    for r, col in pivots:
+        x[col] = b[r]
+    return x
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@st.composite
+def linear_systems(draw):
+    """Mostly-zero systems with zero rows, multiples of earlier rows (rank
+    deficient, often inconsistent), wide and tall shapes, and a random
+    column order."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), small_rationals)
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(("random", "zero", "multiple") if i else ("random", "zero")))
+        if kind == "random":
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif kind == "zero":
+            rows.append([F(0)] * n)
+        else:
+            c, j = draw(small_rationals), draw(st.integers(0, i - 1))
+            rows.append([c * x for x in rows[j]])
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_sparse_elimination_matches_the_dense_reference(system):
+    rows, rhs, order = system
+    expected = _dense_row_reduce(rows, rhs, order)
+    assert row_reduce(rows, rhs, order) == expected
+    assert row_reduce(_sparse(rows), rhs, order) == expected
+    assert solve_linear_exact(rows, rhs, order) == _solution(expected)
+    assert solve_linear_exact(_sparse(rows), rhs, order) == _solution(expected)
+
+
+def test_sparse_rows_take_their_width_from_the_column_order():
+    assert solve_linear_exact([{1: 2}], [4]) == [F(0), F(2)]
+    assert solve_linear_exact([{1: 2}], [4], column_order=[2, 1, 0]) == [F(0), F(2), F(0)]
+    with pytest.raises(ValueError):
+        solve_linear_exact([{3: 1}], [1], column_order=[0, 1])
+    with pytest.raises(ValueError):
+        solve_linear_exact([{0: 1}, [1, 0]], [1, 1])
+
+
+# every odd-total-degree monomial in dx and dy, but x y^6 dx and x^2 y^5 dy,
+# which only the ansatz's weighted-degree cap reaches (see test_forms)
+_CAP_ONLY = {("P", 1, 6), ("Q", 2, 5)}
+
+
+def _dense_form(rng, degree):
+    P, Q = {}, {}
+    for t in range(1, degree + 1, 2):
+        for a in range(t + 1):
+            for part, coeffs in (("P", P), ("Q", Q)):
+                if (part, a, t - a) not in _CAP_ONLY:
+                    coeffs[(a, t - a)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+    return forms.OneForm(PolyXY(P), PolyXY(Q))
+
+
+@pytest.mark.parametrize("pivot_order", ["grlex", "reversed"])
+def test_ansatz_systems_match_the_dense_reference(pivot_order, monkeypatch):
+    """Each ansatz system's RREF is the dense one, and so is every (u, v, r, R)."""
+    rng = random.Random(20261019)
+    cases = [forms.GLOBAL_CENTER, forms.TRUNCATED_PENDULUM, forms.EIGHT_INTERIOR]
+    jobs = [(_dense_form(rng, degree), case) for degree, case in zip((3, 5, 7), cases)]
+    sparse = [forms.reduce(om, case, "ansatz", pivot_order) for om, case in jobs]
+
+    systems = []
+
+    def dense_path(rows, rhs, column_order):
+        dense = [[row.get(c, F(0)) for c in range(len(column_order))] for row in rows]
+        expected = _dense_row_reduce(dense, rhs, column_order)
+        assert row_reduce(rows, rhs, column_order) == expected
+        systems.append(len(rows))
+        return _solution(expected)
+
+    monkeypatch.setattr(forms, "solve_linear_exact", dense_path)
+    for (om, case), d in zip(jobs, sparse):
+        assert forms.reduce(om, case, "ansatz", pivot_order) == d
+    assert len(systems) >= 3
 
 
 def test_multipoly_compose_series():

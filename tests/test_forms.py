@@ -150,6 +150,24 @@ def test_uv_unique_across_engines_and_pivot_orders():
                 assert verify_decomposition(om, d, case)
 
 
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize(
+    "om", [mono_form(1, 6), OneForm(None, PolyXY.monomial(2, 5))], ids=["xy6dx", "x2y5dy"]
+)
+def test_ansatz_reaches_the_weighted_degree_cap(om, case):
+    # both need R of degree 14, above the second attempt's 13
+    d = reduce(om, case, method="ansatz")
+    d0 = reduce(om, case)
+    assert (d.u, d.v) == (d0.u, d0.v)
+    assert d.R.degree() == 14
+
+
+def test_ansatz_raises_on_odd_odd_at_the_cap():
+    # x y^7 dx has weight 16, so the cap (3, 12, 16) is a third attempt
+    with pytest.raises(DecompositionError, match=r"\(3, 12, 16\)"):
+        reduce(mono_form(1, 7), GLOBAL_CENTER, method="ansatz")
+
+
 def test_reduce_is_linear_in_omega():
     a, b = F(3, 5), F(-7, 2)
     om1, om2 = mono_form(0, 3), mono_form(6, 1)
