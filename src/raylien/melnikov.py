@@ -17,6 +17,7 @@ vanishing test is exact (zero polynomials) -- no numerics anywhere here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -186,10 +187,15 @@ class LinearForm:
 _ORDER1_COLUMNS = [0, 1, 3, 4, 5, 2]
 
 
-def _order1_rows(case: AnnulusCase) -> list[list[Fraction]]:
-    """M_1 coefficients of h^0, h^1 in p and h^0, h^1, h^2 in q, over l1..l6."""
+@functools.lru_cache(maxsize=4)
+def _order1_rows(case: AnnulusCase) -> tuple[tuple[Fraction, ...], ...]:
+    """M_1 coefficients of h^0, h^1 in p and h^0, h^1, h^2 in q, over l1..l6.
+
+    Cached per case, as tuples so that no caller can change the table.
+    """
     pairs = [first_order_pair(case, j) for j in range(1, 7)]
-    return [[p[k] for p, _ in pairs] for k in range(2)] + [[q[k] for _, q in pairs] for k in range(3)]
+    return tuple(tuple(p[k] for p, _ in pairs) for k in range(2)) + tuple(
+        tuple(q[k] for _, q in pairs) for k in range(3))
 
 
 def center_conditions_order1(case: AnnulusCase) -> list[LinearForm]:

@@ -8,7 +8,11 @@ on the far side of the oval is never mistaken for the return.  A scan over
 the section (:func:`poincare_scan`) steps all its start points as one
 stacked state with scipy's Python DOP853 stepper, carrying the energy
 balance E' = dH/dt = eps g(x, y) y^2 beside each orbit, so its displacement
-is d = E at the return.  A single start point (:func:`poincare_return`) is
+is d = E at the return.  Each orbit of the scan runs on its own clock
+t = T(h) tau, T(h) = J0(h) the period of its unperturbed oval
+(:func:`periods_real`), so the orbits return together near tau = 1, and
+the returns of one step are located together by Newton's method on the
+step's dense output.  A single start point (:func:`poincare_return`) is
 integrated on its own by scipy's compiled DOP853 (Hairer's dop853 through
 ``scipy.integrate.ode``), and the crossing is located by Henon's trick (M.
 Henon, Physica D 5 (1982) 412-414): from the end of the step that crosses
@@ -48,7 +52,8 @@ __all__ = [
 ]
 
 
-# Brent tolerance on a return time inside one step, as solve_ivp's events use
+# tolerance on a return time inside one step, as solve_ivp's events use for
+# their Brent refinement
 _EVENT_TOL = 4 * np.finfo(float).eps
 
 
@@ -107,11 +112,15 @@ class SimConfig:
                 return (y, -a * x - b * x2 * x + eps * g * y)
             n = len(s) // 3
             x, y = s[:n], s[n : 2 * n]
+            out = np.empty(3 * n)
+            out[:n] = y
             x2 = x * x
             y2 = y * y
-            g = l1 + l2 * x2 + l3 * y2 + l4 * x2 * x2 + l5 * y2 * y2 + l6 * x2 * x2 * x2
-            damping = eps * g * y
-            return np.concatenate((y, -a * x - b * x2 * x + damping, damping * y))
+            # g by Horner's rule in x^2 and y^2
+            damping = eps * (((l6 * x2 + l4) * x2 + l2) * x2 + (l5 * y2 + l3) * y2 + l1) * y
+            np.subtract(damping, (a + b * x2) * x, out=out[n : 2 * n])
+            np.multiply(damping, y, out=out[2 * n :])
+            return out
 
         return f
 
@@ -276,22 +285,97 @@ def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
     return DisplacementSample(h=h0, d=float(cfg.hamiltonian(x1, 0.0) - h0), return_time=t1, x0=x0)
 
 
+def _clock(case: AnnulusCase, h: float) -> float:
+    """The period of the unperturbed oval through h, the orbit's scan clock.
+
+    A start point whose float h has rounded onto an end of the annulus (or
+    lies at or above the escape level, where its orbit escapes at its first
+    step) has no oval to take a period from; its clock is 1, the time itself.
+    Any positive clock keeps an orbit's path and changes only the cost.
+    """
+    if case.h_lo < h < _escape_level(case):
+        return periods_real(case, h).J0
+    return 1.0
+
+
+def _interpolate(sol, rows, tau):
+    """Component rows[i] of a DOP853 step's dense output at tau[i].
+
+    The evaluation of scipy's ``Dop853DenseOutput``, one component per point.
+    """
+    u = (tau - sol.t_old) / sol.h
+    out = np.zeros(rows.size)
+    for i, coeff in enumerate(sol.F[::-1, rows]):
+        out += coeff
+        out *= u if i % 2 == 0 else 1.0 - u
+    return out + sol.y_old[rows]
+
+
+# Newton steps per crossing before bisection takes over (Newton from the
+# secant guess takes two or three), and the bisection steps after them,
+# enough to bring a bracket of any step length within _EVENT_TOL
+_NEWTON_STEPS = 8
+_BISECTION_STEPS = 100
+
+
+def _locate_returns(sol, f, k, period, y_end):
+    """Clock time tau and state (x, y, E) of each orbit k at its y = 0 crossing.
+
+    Every orbit k crosses y = 0 from + to - inside the step of the dense
+    output ``sol``.  Newton's method on y_k(tau) of that dense output, with
+    y' from the flow ``f`` times the orbit's clock, runs on all of them at
+    once from the secant guess; a step that leaves an orbit's bracket, and
+    every step after the first ``_NEWTON_STEPS``, bisects instead.  An orbit
+    is done when its step or its bracket is within _EVENT_TOL absolute plus
+    _EVENT_TOL relative, the stop of the Brent refinement of solve_ivp's
+    events.  ``y_end`` holds the y of every orbit at the end of the step.
+    """
+    n, m = sol.y_old.size // 3, k.size
+    rows = np.concatenate((k, n + k, 2 * n + k))
+    y_lo, y_hi = sol.y_old[n + k], y_end[k]
+    lo, hi = np.full(m, sol.t_old), np.full(m, sol.t)
+    tau = lo + (hi - lo) * (y_lo / (y_lo - y_hi))
+    active = np.ones(m, dtype=bool)
+    for step in range(_NEWTON_STEPS + _BISECTION_STEPS):
+        state = _interpolate(sol, rows, np.tile(tau, 3))
+        y = state[m : 2 * m]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = tau - y / (f(sol.t, state)[m : 2 * m] * period)
+        above = y > 0
+        lo = np.where(above, tau, lo)
+        hi = np.where(above, hi, tau)
+        inside = (lo <= newton) & (newton <= hi) if step < _NEWTON_STEPS else False
+        new = np.where(inside, newton, 0.5 * (lo + hi))
+        tol = _EVENT_TOL * (1.0 + np.abs(tau))
+        tau, active = (np.where(active, new, tau),
+                       active & (np.abs(new - tau) > tol) & (hi - lo > tol))
+        if not active.any():
+            return tau, _interpolate(sol, rows, np.tile(tau, 3)).reshape(3, m)
+    raise RuntimeError(f"no crossing located in [{sol.t_old}, {sol.t}]")
+
+
 def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     """One full return from each start point (x, 0) in xs, as one integration.
 
-    All orbits are stacked into one DOP853 state (x_i, y_i, E_i) with
-    E' = dH/dt = eps g(x, y) y^2, so the displacement d_i is E_i at the
-    return and no difference of two energies is taken.  The return is the
+    All orbits are stacked into one DOP853 state (x_k, y_k, E_k) with
+    E' = dH/dt = eps g(x, y) y^2, so the displacement d_k is E_k at the
+    return and no difference of two energies is taken.  Orbit k runs on its
+    own clock t = T_k tau, T_k = J0(h_k) the period of its unperturbed oval
+    (:func:`periods_real`): the stacked right-hand side is the flow's times
+    T_k and the solver steps in tau, so every orbit returns near tau = 1 and
+    the orbits return within a step or two of each other.  The return is the
     first + to - crossing of y after the first - to + crossing, as in
-    :func:`poincare_return`; it is located at the end of a step and its time
-    refined by Brent's method on that step's dense output.  An orbit whose
-    energy is above ``case.h_hi`` (H = 1e6 on an unbounded annulus, as in
+    :func:`poincare_return`; it is found at the end of a step, and the
+    crossings of all orbits returning in one step are located together by
+    Newton's method on that step's dense output (``_locate_returns``).  The
+    return time is T_k tau at the crossing.  An orbit whose energy is above
+    ``case.h_hi`` (H = 1e6 on an unbounded annulus, as in
     :func:`poincare_return`) at a step end or at its return, whose return
     leaves the section range, or which has not returned by ``cfg.max_time``
-    has escaped: its entry is None.  Each orbit that has returned or
-    escaped is dropped from the state and the solver restarted on the rest,
-    so a runaway orbit never shrinks the others' steps, and the integration
-    stops when every orbit has finished.  A step that DOP853
+    on its own clock has escaped: its entry is None.  Each orbit that has
+    returned or escaped is dropped from the state and the solver restarted
+    on the rest, so a runaway orbit never shrinks the others' steps, and the
+    integration stops when every orbit has finished.  A step that DOP853
     reports as failed raises RuntimeError.
     """
     lo, hi = cfg.case.section_range
@@ -299,12 +383,24 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     if not np.all((lo < x0) & (x0 < hi)):
         raise ValueError(f"start points outside the section range {(lo, hi)}")
     samples: list[DisplacementSample | None] = [None] * x0.size
+    if not x0.size:
+        return samples
     h_escape = _escape_level(cfg.case)
+    h0 = cfg.hamiltonian(x0, 0.0)
+    clocks = np.array([_clock(cfg.case, h) for h in h0.tolist()])
     f = cfg.rhs()
     live = np.arange(x0.size)  # indices into xs of the orbits in the state
     crossed = np.zeros(x0.size, dtype=bool)  # past the far-side crossing
-    solver = DOP853(f, 0.0, np.concatenate((x0, np.zeros(2 * x0.size))), cfg.max_time,
-                    rtol=cfg.rtol, atol=cfg.atol)
+
+    def start(tau, state, step=None):
+        # DOP853 in tau on the live orbits: the flow times each orbit's
+        # clock, up to where the fastest clock passes max_time
+        scale = np.tile(clocks[live], 3)
+        bound = cfg.max_time / clocks[live].min()
+        return DOP853(lambda t, s: f(t, s) * scale, tau, state, bound, rtol=cfg.rtol,
+                      atol=cfg.atol, first_step=None if step is None else min(step, bound - tau))
+
+    solver = start(0.0, np.concatenate((x0, np.zeros(2 * x0.size))))
     while live.size and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
@@ -312,25 +408,21 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
                 f"integration failed from x0 in [{x0[live].min()}, {x0[live].max()}]: {message}"
             )
         n = live.size
+        period = clocks[live]
         x, y = solver.y[:n], solver.y[n : 2 * n]
         y_old = solver.y_old[n : 2 * n]
         crossed[live] |= (y_old < 0) & (y >= 0)
         returned = crossed[live] & (y_old > 0) & (y <= 0)
-        escaped = cfg.hamiltonian(x, y) > h_escape
+        escaped = (cfg.hamiltonian(x, y) > h_escape) | (period * solver.t >= cfg.max_time)
         if returned.any():
-            sol = solver.dense_output()
-            for k in np.flatnonzero(returned):
-                t_ret = brentq(lambda t: sol(t)[n + k], solver.t_old, solver.t,
-                               xtol=_EVENT_TOL, rtol=_EVENT_TOL)
-                x1, y1, e1 = sol(t_ret)[k::n]
-                if lo < x1 < hi and cfg.hamiltonian(x1, y1) <= h_escape:
-                    x_start = float(x0[live[k]])
-                    samples[live[k]] = DisplacementSample(
-                        h=cfg.hamiltonian(x_start, 0.0),
-                        d=float(e1),
-                        return_time=float(t_ret),
-                        x0=x_start,
-                    )
+            k = np.flatnonzero(returned)
+            tau, (x1, y1, e1) = _locate_returns(solver.dense_output(), f, k, period[k], y)
+            t_ret = period[k] * tau
+            kept = ((lo < x1) & (x1 < hi) & (cfg.hamiltonian(x1, y1) <= h_escape)
+                    & (t_ret <= cfg.max_time))
+            for j, d, t in zip(live[k[kept]].tolist(), e1[kept].tolist(), t_ret[kept].tolist()):
+                samples[j] = DisplacementSample(h=float(h0[j]), d=d, return_time=t,
+                                                x0=float(x0[j]))
         # a finished orbit leaves the state at once: an escaped one would
         # run off, and a returned one kept to ride along can run off too
         done = escaped | returned
@@ -341,9 +433,8 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
                 # unlinking them frees its arrays now, not at the next cyclic
                 # garbage collection (about 1 MB of peak memory per scan)
                 solver.fun = solver.fun_vectorized = None
-                solver = DOP853(f, solver.t, solver.y.reshape(3, n)[:, ~done].ravel(),
-                                cfg.max_time, rtol=cfg.rtol, atol=cfg.atol,
-                                first_step=min(solver.step_size, cfg.max_time - solver.t))
+                solver = start(solver.t, solver.y.reshape(3, n)[:, ~done].ravel(),
+                               solver.step_size)
     return samples
 
 

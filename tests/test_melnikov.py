@@ -17,6 +17,7 @@ from raylien.melnikov import (
     AllVanishedReport,
     MelnikovResult,
     ParamArc,
+    _order1_rows,
     center_conditions_order1,
     lambdas_for_first_order,
     lemma1_product,
@@ -242,6 +243,17 @@ def test_first_nonzero_order_shape(case):
             assert res.p.degree() <= 2
         else:
             assert res.p.degree() <= 1
+
+
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+def test_order1_table_is_cached_and_read_only(case):
+    """The order-1 rows are reduced once per case and handed out as tuples."""
+    rows = _order1_rows(case)
+    hits = _order1_rows.cache_info().hits
+    again = _order1_rows(case)
+    assert _order1_rows.cache_info().hits == hits + 1
+    assert again == rows == _order1_rows.__wrapped__(case)
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 
 def test_lambdas_for_first_order_roundtrip():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from raylien import simulate
+from raylien.elliptic import periods_real
 from raylien.forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
 from raylien.melnikov import ParamArc, lambdas_for_first_order, melnikov
 from raylien.simulate import (
@@ -137,6 +138,104 @@ def test_runaway_orbits_on_an_unbounded_annulus_escape(monkeypatch):
             escaped.append(i)
     assert len(escaped) == 12
     assert [i for i, s in enumerate(stacked) if s is None] == escaped
+
+
+def _single_returns(cfg, xs):
+    """poincare_return at each x, None where it raises EscapeError."""
+    out = []
+    for x in xs:
+        try:
+            out.append(poincare_return(cfg, float(x)))
+        except EscapeError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("case, lam", [
+    (EIGHT_INTERIOR, (0.3, -0.2, 0.5, 0.1, -0.4, 0.2)),
+    (EIGHT_EXTERIOR, (1, -0.5, 0.1, 0, 0, 0.01)),
+], ids=["eight-interior", "eight-exterior"])
+def test_stacked_scan_matches_single_returns_on_the_eight_loop_annuli(case, lam):
+    """The per-orbit clocks where they differ most: T(h) grows like log|h|
+    toward the separatrix h = 0 of both eight-loop annuli."""
+    cfg = SimConfig(case, lam, 1e-2)
+    xs = np.linspace(*default_x_window(case), 100)
+    for x, s, ref in zip(xs, poincare_scan(cfg, xs), _single_returns(cfg, xs)):
+        assert (s is None) == (ref is None), x
+        if ref is not None:
+            assert abs(s.d - ref.d) <= 1e-9, (x, s.d, ref.d)
+            assert s.return_time == pytest.approx(ref.return_time, rel=1e-9), x
+
+
+@pytest.mark.parametrize("case, rel", [
+    (GLOBAL_CENTER, 1e-9),
+    (TRUNCATED_PENDULUM, 2e-9),
+    (EIGHT_INTERIOR, 1e-9),
+    (EIGHT_EXTERIOR, 1e-9),
+], ids=["global-center", "truncated-pendulum", "eight-interior", "eight-exterior"])
+def test_scan_return_time_is_the_period_at_zero_eps(case, rel):
+    """At eps = 0 each orbit returns at tau = 1 of its clock, its period J0(h).
+
+    DOP853 bounds the RMS error over all stacked orbits, and on clocks the
+    orbits take the same steps per period; the pendulum orbit at the
+    window's top, h = 0.2496, next to the separatrix, returns within
+    1.3e-9 of its period (its single return within 1.5e-10).
+    """
+    cfg = SimConfig(case, (0,) * 6, 0.0)
+    samples = poincare_scan(cfg, np.linspace(*default_x_window(case), 40))
+    for s in samples:
+        assert abs(s.d) < 1e-10, s
+        assert s.return_time == pytest.approx(periods_real(case, s.h).J0, rel=rel), s
+
+
+def test_scan_max_time_holds_per_orbit():
+    """With max_time between the window's shortest and longest return times,
+    exactly the orbits whose single return finds no return within max_time
+    are None."""
+    cfg = SimConfig(EIGHT_EXTERIOR, (1, -0.5, 0.1, 0, 0, 0.01), 1e-2)
+    xs = np.linspace(*default_x_window(EIGHT_EXTERIOR), 40)
+    times = sorted(s.return_time for s in _single_returns(cfg, xs))
+    short = SimConfig(cfg.case, cfg.lam, cfg.eps, max_time=0.5 * (times[19] + times[20]))
+    timed_out = []
+    for i, x in enumerate(xs):
+        try:
+            poincare_return(short, float(x))
+        except EscapeError as exc:
+            assert f"within t={short.max_time}" in str(exc)
+            timed_out.append(i)
+    assert len(timed_out) == 20
+    assert [i for i, s in enumerate(poincare_scan(short, xs)) if s is None] == timed_out
+
+
+@pytest.mark.parametrize("case, x_end, lam, resolved", [
+    # pumped across the separatrix: both escape
+    (TRUNCATED_PENDULUM, 1 - 1e-12, (1, -1, 0, 0, 0, 0), True),
+    # damped into the annulus: both return
+    (TRUNCATED_PENDULUM, 1 - 1e-12, (-1, 0, 0, 0, 0, 0), True),
+    # an orbit 1e-300 from the centre: neither finds a return within max_time
+    (GLOBAL_CENTER, 1e-300, (1, -1, 0, 0, 0, 0), True),
+    # an orbit 1e-15 from the centre, below the absolute tolerance: whether
+    # its return lands inside the section range is rounding noise
+    (EIGHT_INTERIOR, 1 + 1e-15, (0.3, -0.2, 0.5, 0.1, -0.4, 0.2), False),
+], ids=["pendulum-pumped", "pendulum-damped", "global-center", "eight-interior"])
+def test_scan_accepts_start_points_at_the_annulus_ends(case, x_end, lam, resolved):
+    """A start point whose float h rounds onto an end of the annulus has no
+    period; it runs on a fallback clock, and the scan matches single returns.
+
+    Started 1e-12 from the pendulum's saddle, the return time is sensitive
+    to the integration error near the saddle, so it is compared to 1e-4.
+    """
+    cfg = SimConfig(case, lam, 1e-2)
+    assert not case.contains_h(cfg.hamiltonian(x_end, 0.0))
+    xs = [x_end, *np.linspace(*default_x_window(case), 4)]
+    pairs = list(zip(xs, poincare_scan(cfg, xs), _single_returns(cfg, xs)))
+    for x, s, ref in pairs if resolved else pairs[1:]:
+        assert (s is None) == (ref is None), x
+        if ref is not None:
+            assert (s.h, s.x0) == (ref.h, ref.x0)
+            assert abs(s.d - ref.d) <= 1e-9, (x, s.d, ref.d)
+            rel = 1e-4 if x == x_end else 1e-9
+            assert s.return_time == pytest.approx(ref.return_time, rel=rel), x
 
 
 def test_central_symmetry_of_eight_interior():
