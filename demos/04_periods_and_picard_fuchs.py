@@ -6,11 +6,13 @@ integrals, evaluated in closed form: in s = x^2 each is a sum of positive
 terms built from Carlson's symmetric integral R_D, with a hypergeometric
 series 2F1(+-1/2, 3/2; 3; z) where a difference would cancel near a centre
 (B. C. Carlson, Math. Comp. 49 (1987) 595-606 and 53 (1989) 327-333; DLMF
-19.29), and each value carries a derived rounding bound.  On the eight loop the four integrals satisfy two exact
-linear identities; their residuals sit at machine precision across the
-whole annulus.  On the eight-loop exterior the closed form continues into
-the complex cut plane with principal branches of the square root and of
-complex R_D; the same system, read as a linear ODE in h, cross-checks it.
+19.29), and each value carries a derived rounding bound.  On every case the
+four integrals satisfy the two exact linear Picard-Fuchs identities
+3 I0 = 4h J0 - a J2 and 15 b I2 = -4a h J0 + (12bh + 4a^2) J2; their
+residuals sit at machine precision across the whole annulus.  On the
+eight-loop exterior the closed form continues into the complex cut plane
+with principal branches of the square root and of complex R_D; the same
+system, read as a linear ODE in h, cross-checks it.
 """
 
 import math
@@ -41,10 +43,9 @@ for h in (1e-3, 1e-5, 1e-7):
           f"I2/(pi h^2) = {pv.I2/(math.pi*h*h):.9f}")
 print()
 
-print("Picard-Fuchs residuals |4h J0 + J2 - 3 I0| and")
-print("|4h J0 + (12h+4) J2 - 15 I2| (relative), worst over 50-point grids:")
-for case_name in ("eight-interior", "eight-exterior"):
-    case = CASES[case_name]
+print("Picard-Fuchs residuals |4h J0 - a J2 - 3 I0| and")
+print("|-4a h J0 + (12bh + 4a^2) J2 - 15 b I2| (relative), worst over 50-point grids:")
+for case_name, case in CASES.items():
     worst = 0.0
     for h in case_grid(case, 50):
         worst = max(worst, *pf_residual(case, float(h)))

@@ -337,7 +337,7 @@ def _truncated_pendulum() -> list[CatalogEntry]:
     ]
 
 
-def _eight_loop() -> list[CatalogEntry]:
+def _figure_eight() -> list[CatalogEntry]:
     c = EIGHT_INTERIOR  # reduction depends on (a, b) only; shared with the exterior
     return [
         # el-1: y^3 dx
@@ -452,7 +452,7 @@ def _eight_loop() -> list[CatalogEntry]:
 
 def all_entries() -> list[CatalogEntry]:
     """All 23 catalog entries (families at their default k = 2)."""
-    return _global_center() + _truncated_pendulum() + _eight_loop()
+    return _global_center() + _truncated_pendulum() + _figure_eight()
 
 
 FAMILIES: dict[str, Callable[[AnnulusCase, int], CatalogEntry]] = {

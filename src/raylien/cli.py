@@ -188,15 +188,12 @@ def _cmd_periods(args) -> int:
 
 # pfcheck passes below this multiple of --tol: the identities multiply period
 # values (each within its closed form's rounding bound) by coefficients up to
-# 12h + 4, about 1.2e4 at the top probe level h = 1e3
+# |12bh + 4a^2|, about 1.2e4 at h = 1e3, the unbounded annuli's top probe level
 PFCHECK_RESIDUAL_FACTOR = 1e4
 
 
 def _cmd_pfcheck(args) -> int:
     case = get_case(args.case)
-    if not case.eight_loop:
-        print("pfcheck applies to the eight-loop annuli", file=sys.stderr)
-        return 2
     hs = case_grid(case, args.grid)
     worst = 0.0
     for h in hs:
@@ -383,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_periods)
 
     p = sub.add_parser("pfcheck", help="Picard-Fuchs residuals on a grid")
-    p.add_argument("--case", required=True, choices=("eight-interior", "eight-exterior"))
+    p.add_argument("--case", required=True, choices=case_names)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
                    f">= 1e-14; passes if no residual is above {PFCHECK_RESIDUAL_FACTOR:g} * tol")

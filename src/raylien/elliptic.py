@@ -9,11 +9,13 @@ Math. Comp. 49 (1987) 595-606 and 53 (1989) 327-333; DLMF 19.29).  The
 result carries a derived rounding bound.  Orientation is fixed so that
 I0 > 0.
 
+The Picard-Fuchs system  3 I0 = 4h J0 - a J2,  15 b I2 = -4a h J0 +
+(12bh + 4a^2) J2  holds for every (a, b) and cycle family (it follows from
+exact one-form relations on the level curve); its residuals, its solution
+for J and, differentiated, for J' (:func:`pf_J_prime`) are written once.
+
 For the eight loop the module also provides
 
-* the Picard-Fuchs residuals of  3 I0 = 4h J0 + J2  and
-  15 I2 = 4h J0 + (12h+4) J2  (both identities follow from exact one-form
-  relations on the level curve, so they hold for every cycle family);
 * the exterior periods on the cut plane C minus (-inf, 0]: the real closed
   form for J0, J2 continued with principal branches (:func:`cut_plane_J`,
   B. C. Carlson, Numer. Algorithms 10 (1995) 13-26), with I0, I2 from the
@@ -35,7 +37,7 @@ from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.special.cython_special import elliprd, hyp2f1
 
-from .forms import EIGHT_EXTERIOR, AnnulusCase
+from .forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, AnnulusCase
 
 __all__ = [
     "PeriodValue",
@@ -44,6 +46,7 @@ __all__ = [
     "oval_geometry",
     "periods_real",
     "pf_residual",
+    "pf_J_prime",
     "cut_plane_J",
     "periods_complex",
     "pf_continue",
@@ -191,14 +194,36 @@ def periods_real(case: AnnulusCase, h: float, tol: float = 1e-12) -> PeriodValue
     )
 
 
+def _pf_terms(ab, h, J0, J2):
+    """Terms of 3 I0 = 4h J0 - a J2 and 15 b I2 = -4a h J0 + (12bh + 4a^2) J2."""
+    a, b = ab
+    return 4.0 * h * J0, -a * J2, -4.0 * a * h * J0, (12.0 * b * h + 4.0 * a * a) * J2
+
+
+def _pf_J(ab, h, I0, I2):
+    """(J0, J2) from (I0, I2): the system solved for J (determinant 12h (4bh + a^2))."""
+    a, b = ab
+    J2 = (5.0 * b * I2 + a * I0) / (4.0 * b * h + a * a)
+    J0 = (3.0 * I0 + a * J2) / (4.0 * h)
+    return J0, J2
+
+
+def pf_J_prime(ab, h, J0, J2):
+    """(J0', J2') from (J0, J2): the system's derivative in h solved for J',
+    4h J0' - a J2' = -J0 and -4a h J0' + (12bh + 4a^2) J2' = 3b J2 + 4a J0."""
+    a, b = ab
+    dJ2 = (b * J2 + a * J0) / (4.0 * b * h + a * a)
+    dJ0 = (a * dJ2 - J0) / (4.0 * h)
+    return dJ0, dJ2
+
+
 def pf_residual(case: AnnulusCase, h: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Scaled residuals of the two Picard-Fuchs identities (eight loop)."""
-    if not case.eight_loop:
-        raise ValueError("the tabulated system applies to the eight-loop annuli")
+    """Scaled residuals of the two Picard-Fuchs identities at the real level h."""
     pv = periods_real(case, h, tol)
     scale = max(abs(pv.I0), abs(pv.I2), 1.0)
-    res1 = abs(4.0 * h * pv.J0 + pv.J2 - 3.0 * pv.I0) / scale
-    res2 = abs(4.0 * h * pv.J0 + (12.0 * h + 4.0) * pv.J2 - 15.0 * pv.I2) / scale
+    u1, v1, u2, v2 = _pf_terms(case.ab_float, h, pv.J0, pv.J2)
+    res1 = abs(u1 + v1 - 3.0 * pv.I0) / scale
+    res2 = abs(u2 + v2 - 15.0 * case.ab_float[1] * pv.I2) / scale
     return res1, res2
 
 
@@ -225,19 +250,12 @@ _PF_RTOL = 1e-12
 _SLIT_MARGIN = 1.0
 
 
-def _pf_J(h: complex, I0: complex, I2: complex) -> tuple[complex, complex]:
-    """(J0, J2) from (I0, I2) via the Picard-Fuchs system."""
-    J2 = (5.0 * I2 - I0) / (4.0 * h + 1.0)
-    J0 = (3.0 * I0 - J2) / (4.0 * h)
-    return J0, J2
-
-
-def _solve_line(za: complex, zb: complex, I0: complex, I2: complex) -> tuple[complex, complex]:
+def _solve_line(ab, za: complex, zb: complex, I0: complex, I2: complex) -> tuple[complex, complex]:
     """(I0, I2) at zb from their values at za, by the Picard-Fuchs system on the segment."""
     dz = zb - za
 
     def rhs(t, y):
-        J0, J2 = _pf_J(za + t * dz, y[0] + 1j * y[1], y[2] + 1j * y[3])
+        J0, J2 = _pf_J(ab, za + t * dz, y[0] + 1j * y[1], y[2] + 1j * y[3])
         d0 = dz * J0
         d2 = dz * J2
         return [d0.real, d0.imag, d2.real, d2.imag]
@@ -280,8 +298,8 @@ def pf_continue(h: complex, tol: float = 1e-12) -> PeriodValue:
     for za, zb in zip(pts[:-1], pts[1:]):
         if za == zb:
             continue
-        I0, I2 = _solve_line(za, zb, I0, I2)
-    J0, J2 = _pf_J(complex(h), I0, I2)
+        I0, I2 = _solve_line(EIGHT_EXTERIOR.ab_float, za, zb, I0, I2)
+    J0, J2 = _pf_J(EIGHT_EXTERIOR.ab_float, complex(h), I0, I2)
     return PeriodValue(
         I0=I0, I2=I2, J0=J0, J2=J2, h=complex(h), case="eight-exterior",
         branch_tag=_side_tag(complex(h)), est_error=max(seed.est_error, _PF_RTOL),
@@ -337,28 +355,30 @@ def cut_plane_J(h):
     return J0, J2, est
 
 
-def _closed_form_value(h: complex, J0, J2, err_J, tol: float, case: str, tag: str) -> PeriodValue:
+def _closed_form_value(h, J0, J2, err_J, tol: float, case: AnnulusCase, tag: str) -> PeriodValue:
     """PeriodValue from J0, J2 within err_J, with I0, I2 from the Picard-Fuchs identities.
 
-    3 I0 = 4h J0 + J2 and 15 I2 = 4h J0 + (12h+4) J2.  The terms are within
-    err_J + 4u (the complex products and 12h + 4 add 4u), so each sum is
-    within kappa (err_J + 4u) + 2u, kappa = sum |terms| / |sum| computed per
-    call.  A bound above ``tol`` raises QuadratureError.
+    3 I0 = 4h J0 - a J2 and 15 b I2 = -4a h J0 + (12bh + 4a^2) J2.  With
+    a, b = +-1 the terms are within err_J + 4u (the complex products and
+    12bh + 4a^2 add 4u), so each sum is within kappa (err_J + 4u) + 2u,
+    kappa = sum of the terms' magnitude bounds / |sum| computed per call.  A
+    bound above ``tol`` raises QuadratureError.
     """
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
-    t0 = 4.0 * h * J0
-    I0 = (t0 + J2) / 3.0
-    I2 = (t0 + (12.0 * h + 4.0) * J2) / 15.0
+    a, b = case.ab_float
+    u1, v1, u2, v2 = _pf_terms(case.ab_float, h, J0, J2)
+    I0 = (u1 + v1) / 3.0
+    I2 = (u2 + v2) / (15.0 * b)
     kappa = max(
-        (abs(t0) + abs(J2)) / abs(3.0 * I0),
-        (abs(t0) + (12.0 * abs(h) + 4.0) * abs(J2)) / abs(15.0 * I2),
+        (abs(u1) + abs(v1)) / abs(3.0 * I0),
+        (abs(u2) + (12.0 * abs(b) * abs(h) + 4.0 * a * a) * abs(J2)) / abs(15.0 * b * I2),
     )
     est = float(max(err_J, kappa * (err_J + 4.0 * _U) + 2.0 * _U))
     if est > tol:
         raise QuadratureError(f"closed-form rounding bound {est:.2e} above tol={tol} at h={h}")
     return PeriodValue(
-        I0=complex(I0), I2=complex(I2), J0=complex(J0), J2=complex(J2), h=h, case=case,
+        I0=complex(I0), I2=complex(I2), J0=complex(J0), J2=complex(J2), h=h, case=case.name,
         branch_tag=tag, est_error=est,
     )
 
@@ -382,7 +402,7 @@ def periods_complex(h: complex, tol: float = 1e-12, route: str = "closed-form") 
     if route != "closed-form":
         raise ValueError(f"unknown route {route!r}")
     J0, J2, err = cut_plane_J(h)
-    return _closed_form_value(h, J0, J2, err, tol, "eight-exterior", _side_tag(h))
+    return _closed_form_value(h, J0, J2, err, tol, EIGHT_EXTERIOR, _side_tag(h))
 
 
 def _edge_values(h: float):
@@ -405,7 +425,7 @@ def vanishing_cycle_periods(h: float, tol: float = 1e-12) -> PeriodValue:
     kappa = max((abs(d0) + abs(u0)) / abs(d0 - u0), (abs(d2) + abs(u2)) / abs(d2 - u2))
     return _closed_form_value(
         complex(h), (d0 - u0) / 2.0, (d2 - u2) / 2.0, kappa * max(eu, ed) + _U, tol,
-        "eight-interior", "vanishing-cycle",
+        EIGHT_INTERIOR, "vanishing-cycle",
     )
 
 

@@ -84,12 +84,6 @@ class AnnulusCase:
     def contains_h(self, h: float) -> bool:
         return self.h_lo < h < self.h_hi
 
-    @property
-    def eight_loop(self) -> bool:
-        """True on the eight-loop annuli, where the Picard-Fuchs system
-        3 I0 = 4h J0 + J2, 15 I2 = 4h J0 + (12h+4) J2 holds."""
-        return (self.a, self.b) == (-1, 1)
-
     def __repr__(self) -> str:
         return f"AnnulusCase({self.name})"
 

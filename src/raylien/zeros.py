@@ -1,9 +1,9 @@
 """Zero counting for elements p(h) I2(h) + q(h) I0(h), deg p, q <= 2.
 
 Real intervals are scanned on a log-graded grid with Brent refinement;
-near-tangencies are probed with the derivative element (exact via the
-Picard-Fuchs relations on the eight-loop annuli, finite differences
-elsewhere) and reported as multiplicity-2 candidates.  Real periods are
+near-tangencies are probed with the element's derivative (J = dI/dh for the
+I basis, J' from the Picard-Fuchs system for the J basis, on every case)
+and reported as multiplicity-2 candidates.  Real periods are
 :func:`periods_real`'s closed form (Carlson's R_D), at the grid once per
 case and cached, and at each Brent iterate.  An element's grid values and
 the classification of its nodes (reliable or sub-noise, sign flips, dips)
@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import brentq
 
-from .elliptic import cut_plane_J, periods_real
+from .elliptic import cut_plane_J, periods_real, pf_J_prime
 from .exactalg import Poly, PolyU
 from .forms import AnnulusCase
 
@@ -120,21 +120,20 @@ def eval_V(e: VElement, h: float, tol: float = 1e-12) -> float:
 
 
 def derivative_element(e: VElement) -> VElement:
-    """(ptilde, qtilde) with I' = ptilde J2 + qtilde J0 (eight-loop cases).
+    """(ptilde, qtilde) with I' = ptilde J2 + qtilde J0, on every case.
 
-    From the Picard-Fuchs system: I0 = (4h J0 + J2)/3 and
-    I2 = (4h J0 + (12h+4) J2)/15, so substituting into
+    From the Picard-Fuchs system: I0 = (4h J0 - a J2)/3 and
+    I2 = (-4a h J0 + (12bh + 4a^2) J2)/(15 b), so substituting into
     I' = p' I2 + p J2 + q' I0 + q J0 gives exact degree-<=2 polynomials.
     """
-    if not e.case.eight_loop:
-        raise ValueError("exact derivative elements need the eight-loop system")
     if e.basis != "I":
         raise ValueError("derivative_element expects an I-basis element")
+    a, b = e.case.a, e.case.b
     dp, dq = e.p.diff("h"), e.q.diff("h")
-    twelveh4 = PolyU.from_coeff_list([4, 12], "h")
-    fourh = PolyU.from_coeff_list([0, 4], "h")
-    ptilde = e.p + (twelveh4 * dp).scale(Fraction(1, 15)) + dq.scale(Fraction(1, 3))
-    qtilde = e.q + (fourh * dp).scale(Fraction(1, 15)) + (fourh * dq).scale(Fraction(1, 3))
+    j2_coeff = PolyU.from_coeff_list([4 * a * a, 12 * b], "h")
+    h = PolyU.from_coeff_list([0, 1], "h")
+    ptilde = e.p + (j2_coeff * dp).scale(1 / (15 * b)) - dq.scale(a / 3)
+    qtilde = e.q + (h * dp).scale(-4 * a / (15 * b)) + (h * dq).scale(Fraction(4, 3))
     return VElement(ptilde, qtilde, e.case, basis="J")
 
 
@@ -142,19 +141,10 @@ def derivative_element(e: VElement) -> VElement:
 # Real-interval scan
 # ---------------------------------------------------------------------------
 
-_UNBOUNDED_WINDOW = (1e-8, 1e8)
-
-
-def scan_window(case: AnnulusCase) -> tuple[float, float]:
-    if math.isinf(case.h_hi):
-        return _UNBOUNDED_WINDOW
-    return case.h_lo, case.h_hi
-
-
 def scan_grid(case: AnnulusCase, n: int) -> np.ndarray:
     """Log-graded scan nodes strictly inside the case interval."""
     if math.isinf(case.h_hi):
-        return np.geomspace(*_UNBOUNDED_WINDOW, n)
+        return np.geomspace(1e-8, 1e8, n)
     lo, hi = case.h_lo, case.h_hi
     width = hi - lo
     m = n // 2
@@ -185,8 +175,8 @@ _XTOL_REL = 1e-10
 def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroReport:
     """Sign-change scan with Brent refinement and tangency probing.
 
-    The count covers the scan window (equal to the case interval, truncated
-    to [1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
+    The count covers the report's window, the first to the last scan node
+    ([1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
     A node is reliable when its value is above the rounding noise floor.
     Between consecutive reliable nodes, a sign flip is a zero, refined by
     ``scipy.optimize.brentq`` on the element's value at the scan tolerance
@@ -195,7 +185,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     probe.  A reliable node whose value dips under the ``tol`` noise level
     between reliable neighbours of the same sign is probed too.  The nodes
     are classified in array passes; only those pairs and dips are visited
-    one by one, in node order, flips and runs before dips.
+    one by one, each kind in node order: flips, then runs, then dips.
     """
     if e.is_zero():
         raise ValueError("identically-zero element")
@@ -203,6 +193,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
         raise ValueError("grid must be >= 200")
     case = e.case
     hs, I0, I2, J0, J2 = _grid_periods(case, grid, tol)
+    window = (float(hs[0]), float(hs[-1]))
     base0, base2 = (I0, I2) if e.basis == "I" else (J0, J2)
     vals, mags = _element_values(e, hs, base0, base2)
     # below this the computed value is rounding and cancellation noise
@@ -225,7 +216,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
             method="real-scan",
             bound=case.zero_bound,
             certified=False,
-            window=scan_window(case),
+            window=window,
             notes="all scan values below the noise floor",
         )
     if reliable[0] > 0:
@@ -238,6 +229,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     # or an unresolvable dip
     left, right = reliable[:-1], reliable[1:]
     flips = sign[left] != sign[right]
+    probes = []  # (left node, right node, node reported)
     for k in np.flatnonzero(flips | (right > left + 1)):
         i, j = int(left[k]), int(right[k])
         if flips[k]:
@@ -255,14 +247,7 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
 
             locations.append((brentq(value, a, b, xtol=xtol), 1))
         else:
-            h_mid = float(hs[(i + j) // 2])
-            mult = _probe_tangency(e, float(hs[i]), float(hs[j]), tol)
-            if mult == 2:
-                locations.append((h_mid, 2))
-                notes.append(f"multiplicity-2 candidate at h={h_mid:.6g}")
-            else:
-                certified = False
-                notes.append(f"unresolved near-tangency at h={h_mid:.6g}")
+            probes.append((i, j, (i + j) // 2))
 
     # near-tangency candidates among reliable nodes: |value| dips under the
     # tol noise level with no sign change around it
@@ -273,14 +258,15 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
         & (mid <= mag[:-2]) & (mid <= mag[2:])
         & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
     )
-    for i in np.flatnonzero(dip) + 1:
-        mult = _probe_tangency(e, float(hs[i - 1]), float(hs[i + 1]), tol)
-        if mult == 2:
-            locations.append((float(hs[i]), 2))
-            notes.append(f"multiplicity-2 candidate at h={hs[i]:.6g}")
-        elif mult < 0:
+    probes += [(i - 1, i + 1, i) for i in np.flatnonzero(dip) + 1]
+    for i, j, m in probes:
+        h = float(hs[m])
+        if _probe_tangency(e, float(hs[i]), float(hs[j]), tol) == 2:
+            locations.append((h, 2))
+            notes.append(f"multiplicity-2 candidate at h={h:.6g}")
+        else:
             certified = False
-            notes.append(f"unresolved near-tangency at h={hs[i]:.6g}")
+            notes.append(f"unresolved near-tangency at h={h:.6g}")
 
     locations.sort()
     count = sum(m for _, m in locations)
@@ -292,26 +278,27 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
         method="real-scan",
         bound=bound,
         certified=certified,
-        window=scan_window(case),
+        window=window,
         notes="; ".join(notes),
     )
 
 
+def _derivative_value(e: VElement, h: float, tol: float) -> float:
+    """V'(h) = p' B2 + p B2' + q' B0 + q B0' from one periods_real call at h:
+    (B0, B2, B0', B2') are the four of (I0, I2, J0, J2, J0', J2') from the basis on."""
+    pv = periods_real(e.case, h, tol)
+    run = (pv.I0, pv.I2, pv.J0, pv.J2, *pf_J_prime(e.case.ab_float, h, pv.J0, pv.J2))
+    k = 0 if e.basis == "I" else 2
+    B0, B2, dB0, dB2 = run[k : k + 4]
+    (p2, p1, _), (q2, q1, _) = e.pc, e.qc
+    p, q = _horner(e.pc, h), _horner(e.qc, h)
+    return (2.0 * p2 * h + p1) * B2 + p * dB2 + (2.0 * q2 * h + q1) * B0 + q * dB0
+
+
 def _probe_tangency(e: VElement, a: float, b: float, tol: float) -> int:
     """2 for a clean derivative sign change (even tangency), -1 if murky."""
-    if e.case.eight_loop and e.basis == "I":
-        de = derivative_element(e)
-        da = eval_V(de, a, tol)
-        db = eval_V(de, b, tol)
-    else:
-        step = 1e-6 * (b - a)
-        da = (eval_V(e, a + step, tol) - eval_V(e, a - step, tol)) / (2 * step)
-        db = (eval_V(e, b + step, tol) - eval_V(e, b - step, tol)) / (2 * step)
-    if da == 0.0 or db == 0.0:
-        return -1
-    if (da > 0) != (db > 0):
-        return 2
-    return -1
+    da, db = _derivative_value(e, a, tol), _derivative_value(e, b, tol)
+    return 2 if da > 0.0 > db or da < 0.0 < db else -1
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,10 @@ def test_periods_contour_route_is_gone(capsys):
 
 
 def test_pfcheck_subcommand(capsys):
-    code, out, _ = run(capsys, "pfcheck", "--case", "eight-exterior", "--grid", "10")
-    assert code == 0
-    assert "max residual" in out
+    for case_name in sorted(CASES):
+        code, out, _ = run(capsys, "pfcheck", "--case", case_name, "--grid", "10")
+        assert code == 0, case_name
+        assert out.startswith(f"{case_name}: 10 levels, max residual")
 
 
 def test_zeros_subcommand(capsys):

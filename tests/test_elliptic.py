@@ -282,7 +282,7 @@ def test_finite_difference_oracle_for_J():
 # -- Picard-Fuchs ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case_name", ["eight-interior", "eight-exterior"], ids=str)
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
 def test_pf_residuals_on_grid(case_name):
     case = CASES[case_name]
     for h in case_grid(case, 20):
@@ -296,11 +296,6 @@ def test_pf_residual_detects_broken_identity():
     scale = max(abs(pv.I0), abs(pv.I2), 1.0)
     broken = abs(4 * 1.0 * pv.J0 + pv.J2 - 4.0 * pv.I0) / scale
     assert broken > 1e-2
-
-
-def test_pf_residual_rejects_other_cases():
-    with pytest.raises(ValueError):
-        pf_residual(GLOBAL_CENTER, 1.0)
 
 
 # -- complex continuation ----------------------------------------------------

@@ -14,9 +14,9 @@ from scipy.optimize import brentq
 
 from raylien import zeros
 
-from raylien.elliptic import periods_real
+from raylien.elliptic import periods_real, pf_J_prime
 from raylien.exactalg import PolyU
-from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER
+from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
 from raylien.zeros import (
     ContourSpec,
     VElement,
@@ -29,7 +29,6 @@ from raylien.zeros import (
     derivative_element,
     eval_V,
     scan_grid,
-    scan_window,
     winding_number_F,
 )
 
@@ -98,6 +97,21 @@ def test_locations_inside_window():
         assert rep.window[0] < h < rep.window[1]
 
 
+@pytest.mark.parametrize(
+    "case, h0",
+    [(EIGHT_INTERIOR, F(-1, 4) + F(1, 10**10)), (TRUNCATED_PENDULUM, F(1, 4) - F(1, 10**10))],
+    ids=["eight-interior", "truncated-pendulum"],
+)
+def test_window_excludes_zeros_beyond_the_end_nodes(case, h0):
+    """A zero between an end of the interval and the nearest scan node is not
+    counted, and the report's window says so."""
+    rep = count_zeros_real(ve([], [-h0, 1], case))
+    assert rep.count == 0 and rep.certified
+    hs = scan_grid(case, 200)
+    assert rep.window == (hs[0], hs[-1])
+    assert not rep.window[0] <= h0 <= rep.window[1]
+
+
 def test_scan_grid_cache_is_keyed_by_the_whole_case():
     count_zeros_real(ve([], [1], GLOBAL_CENTER))
     # same name as the global centre, different interval
@@ -124,20 +138,37 @@ def test_derivative_element_fixtures():
     assert d.q == PolyU.from_coeff_list([0, F(4, 15)], "h")
 
 
-def test_derivative_element_rejects_non_eight_cases():
-    with pytest.raises(ValueError):
-        derivative_element(ve([1], [], GLOBAL_CENTER))
+# two interior levels per case, clear of both ends
+_PROBE_LEVELS = {
+    "global-center": (0.5, 3.0),
+    "truncated-pendulum": (0.05, 0.2),
+    "eight-interior": (-0.2, -0.08),
+    "eight-exterior": (0.4, 2.5),
+}
 
 
-@pytest.mark.parametrize("case", [EIGHT_INTERIOR, EIGHT_EXTERIOR], ids=lambda c: c.name)
-def test_derivative_element_matches_finite_differences(case):
-    e = ve([F(1, 3), F(-1, 2), F(1, 5)], [F(2), F(-1), F(1, 7)], case)
+def _central_difference(e, h):
+    step = 1e-6 * max(1.0, abs(h))
+    return (eval_V(e, h + step, 1e-13) - eval_V(e, h - step, 1e-13)) / (2 * step)
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_derivative_element_matches_finite_differences(case_name):
+    e = ve([F(1, 3), F(-1, 2), F(1, 5)], [F(2), F(-1), F(1, 7)], CASES[case_name])
     de = derivative_element(e)
-    hs = (-0.2, -0.08) if case.name == "eight-interior" else (0.4, 2.5)
-    for h in hs:
-        step = 1e-6 * max(1.0, abs(h))
-        fd = (eval_V(e, h + step, 1e-13) - eval_V(e, h - step, 1e-13)) / (2 * step)
-        assert eval_V(de, h, 1e-13) == pytest.approx(fd, rel=1e-6)
+    for h in _PROBE_LEVELS[case_name]:
+        assert eval_V(de, h, 1e-13) == pytest.approx(_central_difference(e, h), rel=1e-6)
+
+
+@pytest.mark.parametrize("basis", ["I", "J"])
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_probe_derivative_matches_finite_differences(case_name, basis):
+    """V' as the tangency probe takes it: J for the I basis, the
+    Picard-Fuchs J' for the J basis."""
+    e = ve([F(1, 3), F(-1, 2), F(1, 5)], [F(2), F(-1), F(1, 7)], CASES[case_name], basis)
+    for h in _PROBE_LEVELS[case_name]:
+        dv = zeros._derivative_value(e, h, 1e-13)
+        assert dv == pytest.approx(_central_difference(e, h), rel=1e-6)
 
 
 # -- statistical Chebyshev sample (acceptance runs the full batch) ------------
@@ -166,6 +197,23 @@ def _node_tangency_element():
     q1 = F(-dz)
     q0 = F(-z) - q1 * F(h0)
     return ve([F(1)], [q0, q1], case), h0
+
+
+def test_j_basis_double_zero_on_a_node_has_multiplicity_two():
+    """J2 + q J0 on the global centre with a double zero on the node nearest
+    1.3; q' comes from the Picard-Fuchs J', which the probe also uses."""
+    case = GLOBAL_CENTER
+    hs = scan_grid(case, 200)
+    h0 = float(hs[np.searchsorted(hs, 1.3)])
+    pv = periods_real(case, h0, 1e-13)
+    dJ0, dJ2 = pf_J_prime(case.ab_float, h0, pv.J0, pv.J2)
+    z = pv.J2 / pv.J0
+    dz = (dJ2 * pv.J0 - pv.J2 * dJ0) / pv.J0**2
+    q1 = F(-dz)
+    q0 = F(-z) - q1 * F(h0)
+    rep = count_zeros_real(ve([F(1)], [q0, q1], case, basis="J"))
+    assert rep.certified
+    assert rep.locations == ((h0, 2),)
 
 
 def test_near_tangency_at_a_node_is_flagged():
@@ -199,7 +247,7 @@ def _scalar_scan(e, grid=200, tol=1e-12):
     sign = np.sign(vals)
     reliable = [i for i in range(len(hs)) if abs(vals[i]) > floor[i]]
     if not reliable:
-        return ZeroReport(0, (), "real-scan", case.zero_bound, False, scan_window(case),
+        return ZeroReport(0, (), "real-scan", case.zero_bound, False, (hs[0], hs[-1]),
                           "all scan values below the noise floor")
     if reliable[0] > 0:
         notes.append(f"sub-noise values below h={hs[reliable[0]]:.3g} (unresolvable)")
@@ -245,7 +293,7 @@ def _scalar_scan(e, grid=200, tol=1e-12):
     locations.sort()
     count = sum(m for _, m in locations)
     return ZeroReport(count, tuple(locations), "real-scan", case.zero_bound,
-                      certified and count <= case.zero_bound, scan_window(case),
+                      certified and count <= case.zero_bound, (hs[0], hs[-1]),
                       "; ".join(notes))
 
 
