@@ -26,9 +26,10 @@ for case_name in ("global-center", "truncated-pendulum", "eight-interior"):
         print(f"  x^{i} y^{j} dx:  u = {dec.u},  v = {dec.v}   [exact: {ok}]")
     print()
 
-print("The built-in catalog pins 23 hand-derived quadruples (u, v, r, R);")
-print("each is verified as an exact identity and its (u, v) is reproduced")
-print("independently by the reduction engine:")
+print("The built-in catalog pins 23 quadruples (u, v, r, R), nine global-centre")
+print("entries and their images on the other two sign cases; each is verified")
+print("as an exact identity and its (u, v) is reproduced independently by the")
+print("reduction engine:")
 good = 0
 for entry in all_entries():
     dec = reduce(entry.form, entry.case)

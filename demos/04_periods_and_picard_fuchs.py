@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from raylien import CASES, periods_complex, periods_real, pf_residual
-from raylien.elliptic import case_grid
+from raylien.elliptic import case_grid, pf_continue
 
 print(__doc__)
 
@@ -52,12 +52,12 @@ for case_name, case in CASES.items():
     print(f"  {case_name:20s} max residual {worst:.3e}")
 print()
 
-print("Complex continuation: closed form vs Picard-Fuchs ODE route:")
+print("Complex continuation: closed form vs Picard-Fuchs ODE continuation:")
 for h in (0.5 + 0.3j, 2.0 - 1.5j, 50.0 + 80.0j):
-    a = periods_complex(h, route="closed-form")
-    b = periods_complex(h, route="pf-ode")
+    a = periods_complex(h)
+    b = pf_continue(h)
     rel = abs(a.J0 - b.J0) / abs(b.J0)
-    print(f"  h = {h}:  J0 = {a.J0:.10f}   route difference {rel:.2e}")
+    print(f"  h = {h}:  J0 = {a.J0:.10f}   difference {rel:.2e}")
 print()
 
 pv100 = periods_complex(100 + 100j)

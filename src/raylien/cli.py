@@ -169,7 +169,7 @@ def _cmd_periods(args) -> int:
                 f"h={args.h} is outside the {case.name} interval; complex "
                 "continuation is provided on the eight-exterior domain only"
             )
-        pv = periods_complex(h, tol=args.tol, route=args.route)
+        pv = periods_complex(h, tol=args.tol)
     _emit(
         {
             "case": case.name,
@@ -337,6 +337,14 @@ def _cmd_validate_theorems(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a grid size: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="raylien",
@@ -369,19 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periods", help="period values at one level or on a grid")
     p.add_argument("--case", required=True, choices=case_names)
-    p.add_argument("--h", help="real or complex level, e.g. 0.5 or '1+0.5j'")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--h", help="real or complex level, e.g. 0.5 or '1+0.5j'")
+    level.add_argument("--grid", type=_positive_int, help="emit CSV on a probe grid of this size")
     p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy, >= 1e-14: "
-                   "the most a closed form's rounding bound may be, else an error; with "
-                   "--route pf-ode at a complex level, the bound of the real seed at h = 1")
-    p.add_argument("--route", default="closed-form", choices=("closed-form", "pf-ode"),
-                   help="continuation to a complex level: the closed form on the cut plane, "
-                   "or the Picard-Fuchs system integrated as an ODE")
-    p.add_argument("--grid", type=int, default=0, help="emit CSV on a probe grid")
+                   "the most a closed form's rounding bound may be, else an error")
     p.set_defaults(func=_cmd_periods)
 
     p = sub.add_parser("pfcheck", help="Picard-Fuchs residuals on a grid")
     p.add_argument("--case", required=True, choices=case_names)
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=_positive_int, default=50)
     p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
                    f">= 1e-14; passes if no residual is above {PFCHECK_RESIDUAL_FACTOR:g} * tol")
     p.set_defaults(func=_cmd_pfcheck)

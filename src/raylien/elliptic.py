@@ -57,7 +57,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge to the requested tolerance."""
+    """A closed form's rounding bound is above the requested tolerance."""
 
 
 class PeriodValue(NamedTuple):
@@ -383,13 +383,13 @@ def _closed_form_value(h, J0, J2, err_J, tol: float, case: AnnulusCase, tag: str
     )
 
 
-def periods_complex(h: complex, tol: float = 1e-12, route: str = "closed-form") -> PeriodValue:
+def periods_complex(h: complex, tol: float = 1e-12) -> PeriodValue:
     """Exterior-oval periods continued to complex h (cut plane).
 
-    route='closed-form': :func:`cut_plane_J` at h, I0 and I2 from the
-    Picard-Fuchs identities; a rounding bound above ``tol`` raises
-    QuadratureError.  route='pf-ode': Picard-Fuchs continuation
-    (:func:`pf_continue`).  Points closer than 1e-6 to the cut are rejected.
+    :func:`cut_plane_J` at h, I0 and I2 from the Picard-Fuchs identities; a
+    rounding bound above ``tol`` raises QuadratureError.  Points closer than
+    1e-6 to the cut are rejected.  :func:`pf_continue` is the independent
+    ODE continuation that the tests compare against.
     """
     h = complex(h)
     slit_dist = abs(h.imag) if h.real <= 0.0 else abs(h)
@@ -397,10 +397,6 @@ def periods_complex(h: complex, tol: float = 1e-12, route: str = "closed-form") 
         raise ValueError("h on the cut (-inf, 0]")
     if slit_dist < _CUT_CLEARANCE:
         raise ValueError(f"h={h} within {_CUT_CLEARANCE} of the cut")
-    if route == "pf-ode":
-        return pf_continue(h, tol=tol)
-    if route != "closed-form":
-        raise ValueError(f"unknown route {route!r}")
     J0, J2, err = cut_plane_J(h)
     return _closed_form_value(h, J0, J2, err, tol, EIGHT_EXTERIOR, _side_tag(h))
 

@@ -9,6 +9,7 @@ import pytest
 
 from raylien import cli
 from raylien.cli import dispatch, parse_monomial_form
+from raylien.elliptic import pf_continue
 from raylien.exactalg import PolyXY
 from raylien.forms import CASES, OneForm
 from raylien.zeros import VElement, count_zeros_real
@@ -186,24 +187,41 @@ def test_periods_grid_csv(capsys):
 
 
 def test_periods_complex_level_routes_agree(capsys):
-    argv = ("periods", "--case", "eight-exterior", "--h", "1+0.5j")
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "periods", "--case", "eight-exterior", "--h", "1+0.5j")
     assert code == 0
     closed = json.loads(out)
-    code, out, _ = run(capsys, *argv, "--route", "pf-ode")
-    assert code == 0
-    ode = json.loads(out)
+    ode = pf_continue(1 + 0.5j)
     for key in ("I0", "I2", "J0", "J2"):
-        a, b = complex(*closed[key]), complex(*ode[key])
+        a, b = complex(*closed[key]), complex(getattr(ode, key))
         assert abs(a - b) <= 1e-9 * abs(b), key
-    assert closed["branch"] == ode["branch"] == "plus-side"
+    assert closed["branch"] == ode.branch_tag == "plus-side"
 
 
 def test_periods_contour_route_is_gone(capsys):
+    for route in ("contour", "pf-ode"):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["periods", "--case", "eight-exterior", "--h", "1+0.5j", "--route", route])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --route" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [[], ["--h", "1", "--grid", "4"]])
+def test_periods_takes_exactly_one_of_h_and_grid(levels, capsys):
     with pytest.raises(SystemExit) as exc:
-        dispatch(["periods", "--case", "eight-exterior", "--h", "1+0.5j", "--route", "contour"])
+        dispatch(["periods", "--case", "global-center", *levels])
     assert exc.value.code == 2
-    assert "invalid choice: 'contour'" in capsys.readouterr().err
+    assert "--h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pfcheck", "--case", "global-center", "--grid", "0"],
+    ["periods", "--case", "global-center", "--grid", "-3"],
+])
+def test_grid_must_be_a_positive_integer(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert "argument --grid: expected a positive integer" in capsys.readouterr().err
 
 
 def test_pfcheck_subcommand(capsys):

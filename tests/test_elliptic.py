@@ -303,7 +303,7 @@ def test_pf_residual_detects_broken_identity():
 
 def test_contour_route_matches_real_axis():
     pr = periods_real(EIGHT_EXTERIOR, 2.0, 1e-12)
-    pc = periods_complex(2.0, route="closed-form")
+    pc = periods_complex(2.0)
     for attr in ("I0", "I2", "J0", "J2"):
         assert complex(getattr(pc, attr)) == pytest.approx(
             complex(getattr(pr, attr)), rel=1e-10
@@ -312,8 +312,8 @@ def test_contour_route_matches_real_axis():
 
 @pytest.mark.parametrize("h", [0.5 + 0.3j, 2.0 + 1.0j, 1.0 - 2.0j, 10.0 + 5.0j])
 def test_contour_and_pf_routes_agree(h):
-    a = periods_complex(h, route="closed-form")
-    b = periods_complex(h, route="pf-ode")
+    a = periods_complex(h)
+    b = pf_continue(h)
     for attr in ("I0", "I2", "J0", "J2"):
         va, vb = complex(getattr(a, attr)), complex(getattr(b, attr))
         assert va == pytest.approx(vb, rel=1e-9)
