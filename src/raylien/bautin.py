@@ -181,6 +181,8 @@ def nakayama_certify(
     """
     if len(b) != len(b0) or not b:
         raise ValueError("b and b0 must be nonempty lists of equal length")
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     k = len(b)
     nv = len(b[0].vars)
     zero = MultiPoly.zero(nv)

@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
                    ">= 1e-14; also the level, relative to the terms, under which a dip is probed")
-    p.add_argument("--random", type=int, default=0, help="batch: count N random elements")
+    p.add_argument("--random", type=_positive_int, default=0, help="batch: count N random elements")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_zeros)
 

@@ -11,19 +11,20 @@ I0 > 0.
 
 The Picard-Fuchs system  3 I0 = 4h J0 - a J2,  15 b I2 = -4a h J0 +
 (12bh + 4a^2) J2  holds for every (a, b) and cycle family (it follows from
-exact one-form relations on the level curve); its residuals, its solution
-for J and, differentiated, for J' (:func:`pf_J_prime`) are written once.
+exact one-form relations on the level curve); its residuals and its
+derivative in h solved for J' (:func:`pf_J_prime`) are written once.
 
 For the eight loop the module also provides
 
 * the exterior periods on the cut plane C minus (-inf, 0]: the real closed
   form for J0, J2 continued with principal branches (:func:`cut_plane_J`,
   B. C. Carlson, Numer. Algorithms 10 (1995) 13-26), with I0, I2 from the
-  identities above; the Picard-Fuchs system integrated as a linear ODE
-  along slit-avoiding paths (:func:`pf_continue`) is the independent
-  cross-check;
-* the boundary values h +- i0 of that closed form on the cut: their
-  Wronskians, and the vanishing-cycle periods as half their jump.
+  identities above; the tests cross-check it against the Picard-Fuchs
+  system integrated as a linear ODE (``tests/pf_reference.py``);
+* the boundary values h +- i0 of that closed form on the cut and their
+  Wronskians;
+* the vanishing-cycle periods, by the complex scaling y = iY that maps the
+  eight's level curve at h to the truncated pendulum's real oval at -h.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.integrate import solve_ivp
 from scipy.special.cython_special import elliprd, hyp2f1
 
-from .forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, AnnulusCase
+from .forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, TRUNCATED_PENDULUM, AnnulusCase
 
 __all__ = [
     "PeriodValue",
@@ -49,7 +49,6 @@ __all__ = [
     "pf_J_prime",
     "cut_plane_J",
     "periods_complex",
-    "pf_continue",
     "wronskians",
     "vanishing_cycle_periods",
     "case_grid",
@@ -200,14 +199,6 @@ def _pf_terms(ab, h, J0, J2):
     return 4.0 * h * J0, -a * J2, -4.0 * a * h * J0, (12.0 * b * h + 4.0 * a * a) * J2
 
 
-def _pf_J(ab, h, I0, I2):
-    """(J0, J2) from (I0, I2): the system solved for J (determinant 12h (4bh + a^2))."""
-    a, b = ab
-    J2 = (5.0 * b * I2 + a * I0) / (4.0 * b * h + a * a)
-    J0 = (3.0 * I0 + a * J2) / (4.0 * h)
-    return J0, J2
-
-
 def pf_J_prime(ab, h, J0, J2):
     """(J0', J2') from (J0, J2): the system's derivative in h solved for J',
     4h J0' - a J2' = -J0 and -4a h J0' + (12bh + 4a^2) J2' = 3b J2 + 4a J0."""
@@ -237,73 +228,6 @@ def case_grid(case: AnnulusCase, n: int) -> np.ndarray:
     from_lo = lo + np.geomspace(1e-5, 0.49, m) * width
     from_hi = hi - np.geomspace(1e-5, 0.49, n - m) * width
     return np.sort(np.concatenate([from_lo, from_hi]))
-
-
-# ---------------------------------------------------------------------------
-# Picard-Fuchs continuation (eight loop, domain C minus (-inf, 0])
-# ---------------------------------------------------------------------------
-
-H_REF = 1.0
-# relative tolerance of every Picard-Fuchs ODE solve
-_PF_RTOL = 1e-12
-# off-axis paths travel at least this far above/below the real axis
-_SLIT_MARGIN = 1.0
-
-
-def _solve_line(ab, za: complex, zb: complex, I0: complex, I2: complex) -> tuple[complex, complex]:
-    """(I0, I2) at zb from their values at za, by the Picard-Fuchs system on the segment."""
-    dz = zb - za
-
-    def rhs(t, y):
-        J0, J2 = _pf_J(ab, za + t * dz, y[0] + 1j * y[1], y[2] + 1j * y[3])
-        d0 = dz * J0
-        d2 = dz * J2
-        return [d0.real, d0.imag, d2.real, d2.imag]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        [I0.real, I0.imag, I2.real, I2.imag],
-        method="DOP853",
-        rtol=_PF_RTOL,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise RuntimeError(f"Picard-Fuchs continuation failed: {sol.message}")
-    y = sol.y[:, -1]
-    return y[0] + 1j * y[1], y[2] + 1j * y[3]
-
-
-def slit_avoiding_waypoints(h: complex) -> list[complex]:
-    """Piecewise-linear path from H_REF to h staying clear of 0 and -1/4.
-
-    Real positive targets go straight; off-axis targets travel at height
-    +-max(1, |Im h|) above/below the axis and descend vertically at Re(h).
-    """
-    h = complex(h)
-    if h.imag == 0.0 and h.real > 0.0:
-        return [complex(H_REF), h]
-    if h.imag == 0.0:
-        raise ValueError("target on the cut (-inf, 0]")
-    sgn = 1.0 if h.imag > 0 else -1.0
-    lift = sgn * max(_SLIT_MARGIN, abs(h.imag))
-    return [complex(H_REF), complex(H_REF, lift), complex(h.real, lift), h]
-
-
-def pf_continue(h: complex, tol: float = 1e-12) -> PeriodValue:
-    """Continue the exterior-oval periods to h in the cut plane (ODE route)."""
-    seed = periods_real(EIGHT_EXTERIOR, H_REF, tol)
-    I0, I2 = complex(seed.I0), complex(seed.I2)
-    pts = slit_avoiding_waypoints(h)
-    for za, zb in zip(pts[:-1], pts[1:]):
-        if za == zb:
-            continue
-        I0, I2 = _solve_line(EIGHT_EXTERIOR.ab_float, za, zb, I0, I2)
-    J0, J2 = _pf_J(EIGHT_EXTERIOR.ab_float, complex(h), I0, I2)
-    return PeriodValue(
-        I0=I0, I2=I2, J0=J0, J2=J2, h=complex(h), case="eight-exterior",
-        branch_tag=_side_tag(complex(h)), est_error=max(seed.est_error, _PF_RTOL),
-    )
 
 
 def _side_tag(h: complex) -> str:
@@ -355,19 +279,29 @@ def cut_plane_J(h):
     return J0, J2, est
 
 
-def _closed_form_value(h, J0, J2, err_J, tol: float, case: AnnulusCase, tag: str) -> PeriodValue:
-    """PeriodValue from J0, J2 within err_J, with I0, I2 from the Picard-Fuchs identities.
+def periods_complex(h: complex, tol: float = 1e-12) -> PeriodValue:
+    """Exterior-oval periods continued to complex h (cut plane).
 
+    :func:`cut_plane_J` at h, with I0, I2 from the Picard-Fuchs identities
     3 I0 = 4h J0 - a J2 and 15 b I2 = -4a h J0 + (12bh + 4a^2) J2.  With
     a, b = +-1 the terms are within err_J + 4u (the complex products and
     12bh + 4a^2 add 4u), so each sum is within kappa (err_J + 4u) + 2u,
     kappa = sum of the terms' magnitude bounds / |sum| computed per call.  A
-    bound above ``tol`` raises QuadratureError.
+    bound above ``tol`` raises QuadratureError.  Points closer than 1e-6 to
+    the cut are rejected.  The tests compare these values against an
+    independent ODE continuation of the same system.
     """
+    h = complex(h)
+    slit_dist = abs(h.imag) if h.real <= 0.0 else abs(h)
+    if h.imag == 0.0 and h.real <= 0.0:
+        raise ValueError("h on the cut (-inf, 0]")
+    if slit_dist < _CUT_CLEARANCE:
+        raise ValueError(f"h={h} within {_CUT_CLEARANCE} of the cut")
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
-    a, b = case.ab_float
-    u1, v1, u2, v2 = _pf_terms(case.ab_float, h, J0, J2)
+    J0, J2, err_J = cut_plane_J(h)
+    a, b = EIGHT_EXTERIOR.ab_float
+    u1, v1, u2, v2 = _pf_terms(EIGHT_EXTERIOR.ab_float, h, J0, J2)
     I0 = (u1 + v1) / 3.0
     I2 = (u2 + v2) / (15.0 * b)
     kappa = max(
@@ -378,50 +312,31 @@ def _closed_form_value(h, J0, J2, err_J, tol: float, case: AnnulusCase, tag: str
     if est > tol:
         raise QuadratureError(f"closed-form rounding bound {est:.2e} above tol={tol} at h={h}")
     return PeriodValue(
-        I0=complex(I0), I2=complex(I2), J0=complex(J0), J2=complex(J2), h=h, case=case.name,
-        branch_tag=tag, est_error=est,
+        I0=complex(I0), I2=complex(I2), J0=complex(J0), J2=complex(J2), h=h,
+        case=EIGHT_EXTERIOR.name, branch_tag=_side_tag(h), est_error=est,
     )
-
-
-def periods_complex(h: complex, tol: float = 1e-12) -> PeriodValue:
-    """Exterior-oval periods continued to complex h (cut plane).
-
-    :func:`cut_plane_J` at h, I0 and I2 from the Picard-Fuchs identities; a
-    rounding bound above ``tol`` raises QuadratureError.  Points closer than
-    1e-6 to the cut are rejected.  :func:`pf_continue` is the independent
-    ODE continuation that the tests compare against.
-    """
-    h = complex(h)
-    slit_dist = abs(h.imag) if h.real <= 0.0 else abs(h)
-    if h.imag == 0.0 and h.real <= 0.0:
-        raise ValueError("h on the cut (-inf, 0]")
-    if slit_dist < _CUT_CLEARANCE:
-        raise ValueError(f"h={h} within {_CUT_CLEARANCE} of the cut")
-    J0, J2, err = cut_plane_J(h)
-    return _closed_form_value(h, J0, J2, err, tol, EIGHT_EXTERIOR, _side_tag(h))
-
-
-def _edge_values(h: float):
-    """cut_plane_J at the upper and lower edges h + i0, h - i0 of the cut."""
-    return cut_plane_J(complex(h, _EDGE)), cut_plane_J(complex(h, -_EDGE))
 
 
 def vanishing_cycle_periods(h: float, tol: float = 1e-12) -> PeriodValue:
     """Periods over the cycle around the inner branch-point pair, -1/4 < h < 0.
 
-    This is the cycle that shrinks to the origin as h -> 0.  Crossing the cut
-    adds twice it to the exterior cycle, so its J0, J2 are half the jump
-    (J(h - i0) - J(h + i0))/2 of the closed form, and I0, I2 follow from the
-    Picard-Fuchs identities.  The jump multiplies the edge values' error
-    bound by kappa = (|J(h - i0)| + |J(h + i0)|)/|jump|.
+    This is the cycle that shrinks to the origin as h -> 0; crossing the cut
+    adds twice it to the exterior cycle.  It lies on the real x segment
+    between the inner branch points, where y^2 < 0.  With y = iY the eight's
+    curve y^2 = 2h + x^2 - x^4/2 becomes the truncated pendulum's curve
+    Y^2 = 2(-h) - x^2 + x^4/2, so the cycle is that case's real oval at -h:
+    (I0, I2, J0, J2) = (-i I0, -i I2, i J0, i J2) of
+    ``periods_real(TRUNCATED_PENDULUM, -h)``, with its rounding bound.
     """
     if not (-0.25 < h < 0.0):
         raise ValueError("vanishing cycle tabulated for -1/4 < h < 0")
-    (u0, u2, eu), (d0, d2, ed) = _edge_values(h)
-    kappa = max((abs(d0) + abs(u0)) / abs(d0 - u0), (abs(d2) + abs(u2)) / abs(d2 - u2))
-    return _closed_form_value(
-        complex(h), (d0 - u0) / 2.0, (d2 - u2) / 2.0, kappa * max(eu, ed) + _U, tol,
-        EIGHT_INTERIOR, "vanishing-cycle",
+    try:
+        pv = periods_real(TRUNCATED_PENDULUM, -h, tol)
+    except QuadratureError as exc:
+        raise QuadratureError(f"vanishing cycle at h={h}: {exc}") from None
+    return PeriodValue(
+        I0=-1j * pv.I0, I2=-1j * pv.I2, J0=1j * pv.J0, J2=1j * pv.J2, h=complex(h),
+        case=EIGHT_INTERIOR.name, branch_tag="vanishing-cycle", est_error=pv.est_error,
     )
 
 
@@ -439,5 +354,6 @@ def wronskians(h: float) -> tuple[complex, str]:
     """
     if h >= 0.0 or h == -0.25:
         raise ValueError("W is defined for h < 0, h != -1/4")
-    (u0, u2, _), (d0, d2, _) = _edge_values(h)
+    u0, u2, _ = cut_plane_J(complex(h, _EDGE))
+    d0, d2, _ = cut_plane_J(complex(h, -_EDGE))
     return complex(u0 * d2 - d0 * u2), ("W1" if -0.25 < h < 0.0 else "W2")

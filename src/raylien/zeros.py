@@ -317,6 +317,10 @@ class ContourSpec:
     samples_near: int = 80
     max_refine_depth: ClassVar[int] = 24
 
+    def __post_init__(self):
+        if not 0.0 < self.delta < self.R < math.inf:
+            raise ValueError(f"contour needs 0 < delta < R < inf, got delta={self.delta}, R={self.R}")
+
 
 class _ContourTable:
     """(J0, J2) along the contour from the closed form, shared across elements."""

@@ -173,6 +173,13 @@ def test_nakayama_needs_monomials_in_the_linear_coordinates():
         nakayama_certify([l1, l1], [l1, l1.scale(2)], 4)
 
 
+def test_nakayama_rejects_a_negative_cap():
+    b, b0 = worked_example()
+    with pytest.raises(ValueError, match="degree_cap must be >= 0, got -2"):
+        nakayama_certify(b, b0, -2)
+    assert nakayama_certify(b0, b0, 0).truncation_degree == 0
+
+
 # -- rescaling ---------------------------------------------------------------
 
 

@@ -9,10 +9,11 @@ import pytest
 
 from raylien import cli
 from raylien.cli import dispatch, parse_monomial_form
-from raylien.elliptic import pf_continue
 from raylien.exactalg import PolyXY
-from raylien.forms import CASES, OneForm
+from raylien.forms import CASES, EIGHT_EXTERIOR, OneForm
 from raylien.zeros import VElement, count_zeros_real
+
+from pf_reference import pf_continue
 
 
 def run(capsys, *argv):
@@ -169,6 +170,16 @@ def test_nakayama_failure_exit_code(tmp_path, capsys):
     assert data["offending_monomial"] == [0, 1]
 
 
+def test_nakayama_rejects_a_negative_cap(tmp_path, capsys):
+    payload = {"nvars": 1, "b": [[[[1], "1"]]], "b0": [[[[1], "1"]]]}
+    f = tmp_path / "naka.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "nakayama", "--input", str(f), "--cap", "-2")
+    assert code == 2
+    assert out == ""
+    assert "degree_cap must be >= 0, got -2" in err
+
+
 def test_periods_subcommand_real(capsys):
     code, out, _ = run(capsys, "periods", "--case", "global-center",
                        "--h", "1.0")
@@ -190,7 +201,7 @@ def test_periods_complex_level_routes_agree(capsys):
     code, out, _ = run(capsys, "periods", "--case", "eight-exterior", "--h", "1+0.5j")
     assert code == 0
     closed = json.loads(out)
-    ode = pf_continue(1 + 0.5j)
+    ode = pf_continue(EIGHT_EXTERIOR, 1 + 0.5j)
     for key in ("I0", "I2", "J0", "J2"):
         a, b = complex(*closed[key]), complex(getattr(ode, key))
         assert abs(a - b) <= 1e-9 * abs(b), key
@@ -248,6 +259,13 @@ def test_zeros_random_batch_records_seed(capsys):
     assert "count,frequency" in out
 
 
+def test_zeros_random_must_be_a_positive_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["zeros", "--case", "global-center", "--random", "-3"])
+    assert exc.value.code == 2
+    assert "argument --random: expected a positive integer, got '-3'" in capsys.readouterr().err
+
+
 def _random_reports(case_name, n, seed):
     """The reports behind `zeros --random n --seed seed`, recounted directly."""
     rng = np.random.default_rng(seed)
@@ -287,6 +305,15 @@ def test_argwind_subcommand(capsys):
     data = json.loads(out)
     assert data["zero_bound_estimate"] == 0
     assert abs(data["winding"]) < 1e-6
+
+
+@pytest.mark.parametrize("flag, value", [("--R", "-5"), ("--delta", "0"), ("--delta", "2000")])
+def test_argwind_rejects_a_contour_without_0_lt_delta_lt_R(flag, value, capsys):
+    code, out, err = run(capsys, "argwind", "--q", "1,1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "contour needs 0 < delta < R < inf" in err
+    assert f"{flag.lstrip('-')}={float(value)}" in err
 
 
 def test_simulate_subcommand_json(capsys):

@@ -13,13 +13,14 @@ from raylien.elliptic import (
     oval_geometry,
     periods_complex,
     periods_real,
-    pf_continue,
     pf_residual,
     vanishing_cycle_periods,
     wronskians,
 )
 from raylien.forms import CASES, EIGHT_EXTERIOR, EIGHT_INTERIOR, GLOBAL_CENTER, TRUNCATED_PENDULUM
 from raylien.zeros import ContourSpec, _contour_table, scan_grid
+
+from pf_reference import pf_continue
 
 
 # -- oval geometry -----------------------------------------------------------
@@ -313,7 +314,7 @@ def test_contour_route_matches_real_axis():
 @pytest.mark.parametrize("h", [0.5 + 0.3j, 2.0 + 1.0j, 1.0 - 2.0j, 10.0 + 5.0j])
 def test_contour_and_pf_routes_agree(h):
     a = periods_complex(h)
-    b = pf_continue(h)
+    b = pf_continue(EIGHT_EXTERIOR, h)
     for attr in ("I0", "I2", "J0", "J2"):
         va, vb = complex(getattr(a, attr)), complex(getattr(b, attr))
         assert va == pytest.approx(vb, rel=1e-9)
@@ -325,7 +326,7 @@ def test_closed_form_follows_pf_continuation_along_the_contour(piece):
     _, hs, ratio = _contour_table(ContourSpec()).samples[piece]
     for i in sorted({*range(0, len(hs), 20), len(hs) - 1}):
         J0, J2, _ = cut_plane_J(hs[i])
-        ref = pf_continue(complex(hs[i]))
+        ref = pf_continue(EIGHT_EXTERIOR, complex(hs[i]))
         assert abs(J0 - ref.J0) <= 1e-9 * abs(ref.J0), hs[i]
         assert abs(J2 - ref.J2) <= 1e-9 * abs(ref.J2), hs[i]
         assert abs(ratio[i] - ref.J2 / ref.J0) <= 1e-9 * abs(ratio[i]), hs[i]
@@ -339,6 +340,13 @@ def _mp_cut_plane_J(h, mp):
     return 4 * (c + s) / mp.sqrt(0.5), 4 * (1 + sq) * s / mp.sqrt(0.5)
 
 
+def _mp_half_jump(h, mp):
+    """(J0, J2) of the vanishing cycle: half the jump of the closed form across the cut."""
+    up = _mp_cut_plane_J(mp.mpc(h, 1e-30), mp)
+    dn = _mp_cut_plane_J(mp.mpc(h, -1e-30), mp)
+    return (dn[0] - up[0]) / 2, (dn[1] - up[1]) / 2
+
+
 @pytest.mark.parametrize("h", [0.5 + 0.3j, -0.2 + 1e-3j, -1e3 - 1e-3j, 1e-3j, -0.1, -0.02], ids=str)
 def test_cut_plane_rounding_bound_against_40_digit_mpmath(h):
     """est_error covers the rounding error of all four values; real h is the
@@ -349,20 +357,71 @@ def test_cut_plane_rounding_bound_against_40_digit_mpmath(h):
             pv = periods_complex(h)
             J0, J2 = _mp_cut_plane_J(mpmath.mpc(h), mpmath)
         else:
-            pv = vanishing_cycle_periods(h, tol=1e-10)
-            up = _mp_cut_plane_J(mpmath.mpc(h, 1e-30), mpmath)
-            dn = _mp_cut_plane_J(mpmath.mpc(h, -1e-30), mpmath)
-            J0, J2 = (dn[0] - up[0]) / 2, (dn[1] - up[1]) / 2
+            pv = vanishing_cycle_periods(h)
+            J0, J2 = _mp_half_jump(h, mpmath)
         want = ((4 * h * J0 + J2) / 3, (4 * h * J0 + (12 * h + 4) * J2) / 15, J0, J2)
         for got, ref in zip((pv.I0, pv.I2, pv.J0, pv.J2), want):
             assert abs(got - ref) <= pv.est_error * abs(ref), (got, ref)
 
 
+@pytest.mark.parametrize("h", [float(h) for h in -np.geomspace(1e-6, 0.2499, 10)], ids=str)
+def test_vanishing_cycle_against_40_digit_half_jump(h):
+    """The truncated pendulum's oval at -h, scaled by powers of i, against the
+    jump of the cut-plane closed form across (-1/4, 0): all the way to h = 0,
+    where the Picard-Fuchs sums for I0, I2 from J0, J2 cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    pv = vanishing_cycle_periods(h)
+    with mpmath.workdps(40):
+        J0, J2 = _mp_half_jump(h, mpmath)
+        hm = mpmath.mpf(h)  # 12 h + 4 in floats would cost I2 its digits near h = 0
+        want = ((4 * hm * J0 + J2) / 3, (4 * hm * J0 + (12 * hm + 4) * J2) / 15, J0, J2)
+        for got, ref in zip((pv.I0, pv.I2, pv.J0, pv.J2), want):
+            assert abs(got - ref) <= pv.est_error * abs(ref), (got, ref)
+
+
+def test_vanishing_cycle_error_names_the_callers_level():
+    # the bound at h = -0.23 is 1.4e-14, above the tightest tol
+    with pytest.raises(QuadratureError, match=r"^vanishing cycle at h=-0\.23: .*above tol=1e-14"):
+        vanishing_cycle_periods(-0.23, tol=1e-14)
+
+
 def test_conjugate_symmetry():
-    a = pf_continue(0.5 + 0.25j)
-    b = pf_continue(0.5 - 0.25j)
+    a = pf_continue(EIGHT_EXTERIOR, 0.5 + 0.25j)
+    b = pf_continue(EIGHT_EXTERIOR, 0.5 - 0.25j)
     assert a.J0.conjugate() == pytest.approx(b.J0, rel=1e-11)
     assert a.J2.conjugate() == pytest.approx(b.J2, rel=1e-11)
+
+
+def _interior_levels(case):
+    if math.isinf(case.h_hi):
+        return [0.05, 0.5, 4.0, 50.0]
+    return [case.h_lo + f * (case.h_hi - case.h_lo) for f in (0.05, 0.3, 0.7, 0.95)]
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_pf_reference_follows_the_real_axis(case_name):
+    case = CASES[case_name]
+    for h in _interior_levels(case):
+        ref, pv = pf_continue(case, h), periods_real(case, h)
+        assert ref.branch_tag == "real-oval"
+        for attr in ("I0", "I2", "J0", "J2"):
+            got, want = getattr(ref, attr), getattr(pv, attr)
+            assert abs(got - want) <= 1e-10 * abs(want), (h, attr)
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_pf_reference_conjugate_symmetry(case_name):
+    case = CASES[case_name]
+    for h in (complex(_interior_levels(case)[1], 0.25), complex(-2.0, 3.0)):
+        a, b = pf_continue(case, h), pf_continue(case, h.conjugate())
+        for attr in ("I0", "I2", "J0", "J2"):
+            va, vb = getattr(a, attr), getattr(b, attr)
+            assert va.conjugate() == pytest.approx(vb, rel=1e-11), (h, attr)
+
+
+def test_pf_reference_rejects_real_levels_outside_the_annulus():
+    with pytest.raises(ValueError, match="outside the truncated-pendulum interval"):
+        pf_continue(TRUNCATED_PENDULUM, 0.5)
 
 
 def test_rejects_points_on_the_cut():
@@ -373,8 +432,8 @@ def test_rejects_points_on_the_cut():
 
 
 def test_large_radius_decay_exponent():
-    a = pf_continue(100 + 100j)
-    b = pf_continue(1000 + 1000j)
+    a = pf_continue(EIGHT_EXTERIOR, 100 + 100j)
+    b = pf_continue(EIGHT_EXTERIOR, 1000 + 1000j)
     alpha = math.log(abs(b.J0) / abs(a.J0)) / math.log(10.0)
     assert alpha == pytest.approx(-0.25, abs=0.05)
     # J2/J0 grows like |h|^(1/2), so deg-2 polynomial envelopes keep the
@@ -384,8 +443,8 @@ def test_large_radius_decay_exponent():
 
 
 def test_branch_tags():
-    assert pf_continue(1.0 + 1.0j).branch_tag == "plus-side"
-    assert pf_continue(1.0 - 1.0j).branch_tag == "minus-side"
+    assert pf_continue(EIGHT_EXTERIOR, 1.0 + 1.0j).branch_tag == "plus-side"
+    assert pf_continue(EIGHT_EXTERIOR, 1.0 - 1.0j).branch_tag == "minus-side"
     assert vanishing_cycle_periods(-0.1).branch_tag == "vanishing-cycle"
 
 
@@ -398,8 +457,8 @@ def test_picard_lefschetz_jump():
     vc = vanishing_cycle_periods(h)
     rel = []
     for d in (1e-3, 2.5e-4):
-        up = pf_continue(complex(h, d))
-        dn = pf_continue(complex(h, -d))
+        up = pf_continue(EIGHT_EXTERIOR, complex(h, d))
+        dn = pf_continue(EIGHT_EXTERIOR, complex(h, -d))
         jump = up.J0 - dn.J0
         rel.append(min(abs(jump - 2 * vc.J0), abs(jump + 2 * vc.J0)) / abs(jump))
     assert rel[0] < 5e-3

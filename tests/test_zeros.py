@@ -520,6 +520,13 @@ def test_contour_table_refuses_a_J0_that_winds(monkeypatch):
         _ContourTable(ContourSpec())
 
 
+@pytest.mark.parametrize("R, delta", [(-5.0, 1e-3), (1e3, 0.0), (1e3, 2e3), (math.inf, 1e-3),
+                                      (math.nan, 1e-3)])
+def test_contour_spec_needs_0_lt_delta_lt_R(R, delta):
+    with pytest.raises(ValueError, match=f"got delta={delta}, R={R}"):
+        ContourSpec(R=R, delta=delta)
+
+
 def test_winding_refuses_a_zero_on_the_contour():
     # F = h - R vanishes at the first contour sample h = R
     e = ve([], [-1000, 1], EIGHT_EXTERIOR, basis="J")
