@@ -2,13 +2,14 @@
 
 The ideal of displacement coefficients, localized at lambda = 0, is
 polynomially generated: five linear generators plus the cube of the center
-direction.  ``predict_order`` reads off the expected first nonvanishing
-order of an arc as the minimal eps-valuation of the generators along it;
-``nakayama_certify`` certifies that a generating set with higher-order tails
-generates the same local ideal as its leading part, by exhibiting the
+direction; in the coordinates mu = (l1, l2 + 3a l3, l3, l4 + 3b l3, l5, l6)
+they are the monomials mu1, mu2, mu3^3, mu4, mu5, mu6.  ``predict_order``
+reads off the expected first nonvanishing order of an arc as the minimal
+eps-valuation of the generators along it, a sum of valuations of the mu_p.
+``nakayama_certify`` certifies that a generating set with higher-order
+tails generates the same local ideal as its leading part, by exhibiting the
 inverse transition matrix as a truncated power series with exact zero
-residual through the requested degree.  It divides in coordinates where
-the linear generators are variables, so that the generators are monomials.
+residual through the requested degree.  It divides in such coordinates mu.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg import MultiPoly, Poly, RationalLike, rat, solve_linear_exact
 from .forms import AnnulusCase
@@ -56,31 +58,41 @@ def bautin_generators(a: RationalLike, b: RationalLike) -> IdealGenerators:
     return IdealGenerators(a=a, b=b, generators=gens)
 
 
-def predict_order(arc, case: AnnulusCase) -> int | float:
-    """Minimal eps-valuation of the Bautin generators along the arc.
+@lru_cache(maxsize=8)
+def _bautin_in_mu(a: Fraction, b: Fraction):
+    """The generators as (coefficient, exponents in mu); mu as sparse rows."""
+    monomials, (mu, _) = _monomials_in_mu(list(bautin_generators(a, b)))
+    return tuple(monomials), tuple(tuple((e.index(1), c) for e, c in m.coeffs.items()) for m in mu)
 
-    Returns math.inf when every generator vanishes identically on the arc
-    (for polynomial arcs this happens only for the zero arc).
-    """
+
+def _generator_valuations(arc, case: AnnulusCase):
+    """Valuations of the generators on the arc, the generators, and (v_p, c_p):
+    mu_p is first nonzero, equal to c_p, on the coefficient row of order v_p."""
     if arc.is_zero():
         raise ValueError("arc is identically zero")
-    gens = bautin_generators(case.a, case.b)
-    best: int | float = math.inf
-    for g in gens:
-        composed: Poly = g.compose_series(list(arc.series))
-        val = composed.valuation()
-        if val is not None:
-            best = min(best, val)
-    return best
+    monomials, mu = _bautin_in_mu(case.a, case.b)
+    rows = [arc.coefficient_row(k) for k in range(1, max(s.degree() for s in arc.series) + 1)]
+    leads = []
+    for m in mu:
+        values = (sum(c * row[i] for i, c in m if row[i]) for row in rows)
+        leads.append(next(((k, v) for k, v in enumerate(values, 1) if v), (math.inf, 0)))
+    vals = [sum(leads[p][0] * x for p, x in enumerate(e) if x) for _, e in monomials]
+    return vals, monomials, leads
+
+
+def predict_order(arc, case: AnnulusCase) -> int:
+    """Minimal eps-valuation of the Bautin generators along the arc: each is a
+    monomial in mu, of valuation sum e_p v_p.  ValueError on the zero arc."""
+    return min(_generator_valuations(arc, case)[0])
 
 
 def leading_generator_values(arc, case: AnnulusCase) -> list[Fraction]:
-    """Coefficients of eps^n in each generator along the arc, n = predict_order."""
-    n = predict_order(arc, case)
-    if n is math.inf:
-        raise ValueError("all generators vanish on the arc")
-    gens = bautin_generators(case.a, case.b)
-    return [g.compose_series(list(arc.series))[n] for g in gens]
+    """Coefficients of eps^n in each generator along the arc, n = predict_order:
+    c prod c_p^e_p for a generator c prod mu_p^e_p of valuation n, else 0."""
+    vals, monomials, leads = _generator_valuations(arc, case)
+    n = min(vals)
+    return [c * math.prod(leads[p][1] ** x for p, x in enumerate(e) if x) if v == n
+            else Fraction(0) for (c, e), v in zip(monomials, vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +172,21 @@ def _linear_coordinates(b0: list[Poly]) -> tuple[list[Poly], list[Poly]] | None:
     return [MultiPoly(nv, dict(zip(units, row))) for row in M], lam
 
 
+def _monomials_in_mu(b0: list[Poly]):
+    """b0 as monomials (coefficient, exponents in mu), and the coordinates mu
+    of :func:`_linear_coordinates`; ValueError unless each is a monomial."""
+    coords = _linear_coordinates(b0)
+    monomials = []
+    for j, g in enumerate(b0):
+        g_mu = g if coords is None else g.compose_series(coords[1])
+        if len(g_mu.coeffs) != 1:
+            raise ValueError(f"b0_{j} = {g} is not a monomial"
+                             " in the coordinates of the linear generators")
+        (e, c), = g_mu.coeffs.items()
+        monomials.append((c, e))
+    return monomials, coords
+
+
 def nakayama_certify(
     b: list[Poly], b0: list[Poly], degree_cap: int
 ) -> NakayamaCertificate:
@@ -186,30 +213,20 @@ def nakayama_certify(
     k = len(b)
     nv = len(b[0].vars)
     zero = MultiPoly.zero(nv)
-    coords = _linear_coordinates(b0)
-
-    def in_mu(p: Poly) -> Poly:
-        return p if coords is None else p.compose_series(coords[1])
+    gens, coords = _monomials_in_mu(b0)
 
     def in_lambda(p: Poly) -> Poly:
         return p if coords is None else p.compose_series(coords[0])
 
-    gens = []
-    for j, g in enumerate(b0):
-        g_mu = in_mu(g)
-        if len(g_mu.coeffs) != 1:
-            raise ValueError(
-                f"b0_{j} = {g} is not a monomial in the coordinates of the linear generators"
-            )
-        gens.append(next(iter(g_mu.coeffs.items())))
-
     A: list[list[Poly]] = []
     for i in range(k):
         tail = b[i] - b0[i]
+        if coords is not None:
+            tail = tail.compose_series(coords[1])
         quot: list[dict[tuple[int, ...], Fraction]] = [{} for _ in gens]
         rem = {}
-        for e, c in in_mu(tail).coeffs.items():
-            for j, (le, lc) in enumerate(gens):
+        for e, c in tail.coeffs.items():
+            for j, (lc, le) in enumerate(gens):
                 if all(x >= y for x, y in zip(e, le)):
                     quot[j][tuple(x - y for x, y in zip(e, le))] = c / lc
                     break

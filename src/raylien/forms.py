@@ -62,7 +62,8 @@ class AnnulusCase:
     (h_lo, h_hi) and the zero-count ceiling; ``fold``, 2.0 for an
     x-symmetric oval (its s = x^2 interval starts at 0 and each s is crossed
     twice), else 1.0; ``section_range``, the open x-interval of the section
-    {y = 0} transversal to the annulus; ``ab_float``, (a, b) as floats.
+    {y = 0} transversal to the annulus; ``ab_float``, (a, b) as floats;
+    ``H``, the Hamiltonian that ``hamiltonian()`` returns.
     """
 
     name: str
@@ -74,12 +75,14 @@ class AnnulusCase:
     fold: float
     section_range: tuple[float, float]
     ab_float: tuple[float, float] = field(init=False, repr=False, compare=False)
+    H: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ab_float", (float(self.a), float(self.b)))
+        object.__setattr__(self, "H", hamiltonian_xy(self.a, self.b))
 
     def hamiltonian(self) -> Poly:
-        return hamiltonian_xy(self.a, self.b)
+        return self.H
 
     def contains_h(self, h: float) -> bool:
         return self.h_lo < h < self.h_hi

@@ -123,12 +123,12 @@ def melnikov(
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    omegas = {k: arc.order_form(k) for k in range(1, max_order + 1)}
+    omegas: dict[int, OneForm] = {}
     rs: dict[int, Poly] = {}
     trail: list[tuple[Poly, Poly, Poly]] = []
 
     for k in range(1, max_order + 1):
-        Omega = omegas[k]
+        Omega = omegas[k] = arc.order_form(k)
         for j in range(1, k):
             i = k - j
             if not omegas[i].is_zero() and not rs[j].is_zero():

@@ -1,5 +1,6 @@
 """Bautin generators, order prediction, Nakayama certification, rescaling."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -15,7 +16,8 @@ from raylien.bautin import (
     predict_order,
     rescale_lambdas,
 )
-from raylien.exactalg import MultiPoly, PolyU
+from raylien import bautin
+from raylien.exactalg import MultiPoly, Poly, PolyU
 from raylien.forms import CASES, SIGN_CASES, GLOBAL_CENTER
 from raylien.melnikov import AllVanishedReport, MelnikovResult, ParamArc, melnikov
 
@@ -108,6 +110,88 @@ def test_predicted_order_matches_recursion(case_name):
         assert res.order >= pred
         if any(v != 0 for v in leading_generator_values(arc, case)):
             assert res.order == pred
+
+
+def composed_reference(arc, case):
+    """(order, eps^order coefficients) by composing each generator with the arc."""
+    composed = [g.compose_series(list(arc.series)) for g in bautin_generators(case.a, case.b)]
+    n = min(c.valuation() for c in composed if not c.is_zero())
+    return n, [c[n] for c in composed]
+
+
+def gapped_arc(rng, case, orders):
+    """Tuned, random or zero coefficient rows at orders 1..orders, last one nonzero."""
+    cols = []
+    for k in range(orders):
+        kind = rng.choice(["zero", "tuned", "random"]) if k < orders - 1 else "random"
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if kind == "zero":
+            cols.append([0] * 6)
+        elif kind == "tuned":
+            cols.append([0, -3 * case.a * c, c, -3 * case.b * c, 0, 0])
+        else:
+            cols.append([F(rng.randint(-3, 3), rng.randint(1, 2)) * rng.randint(0, 1)
+                         for _ in range(6)])
+    if not any(cols[-1]):
+        cols[-1][rng.randrange(6)] = F(1)
+    return ParamArc.from_rows([[col[j] for col in cols] for j in range(6)])
+
+
+def equivalence_arcs(case, seed):
+    rng = random.Random(seed)
+    arcs = [random_arc(rng, case, depth) for depth in range(5) for _ in range(8)]
+    arcs += [gapped_arc(rng, case, rng.randint(2, 6)) for _ in range(40)]
+    # the order set by mu3^3: a tuned arc, alone or with a tail above order 3
+    for c in (1, -2, F(1, 3)):
+        tuned = [0, -3 * case.a * c, c, -3 * case.b * c, 0, 0]
+        arcs.append(ParamArc.linear(tuned))
+        arcs.append(ParamArc.from_rows([[t, 0, 0, 0, int(j == 4)] for j, t in enumerate(tuned)]))
+    # built directly: degrees below the truncation order, a gap in one series
+    arcs.append(ParamArc((
+        PolyU({2: F(1, 2)}, "eps"), PolyU({1: -3 * case.a, 3: 5}, "eps"), PolyU({1: 1}, "eps"),
+        PolyU({1: -3 * case.b}, "eps"), PolyU({}, "eps"), PolyU({4: F(-7, 3)}, "eps"),
+    ), 7))
+    return [arc for arc in arcs if not arc.is_zero()]
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES), ids=str)
+def test_valuations_equal_the_composed_generators(case_name):
+    case = CASES[case_name]
+    arcs = equivalence_arcs(case, 2000 + len(case_name))
+    orders = set()
+    for arc in arcs:
+        n, values = composed_reference(arc, case)
+        assert predict_order(arc, case) == n
+        assert leading_generator_values(arc, case) == values
+        orders.add(n)
+    assert orders >= {1, 2, 3, 4}
+    # some orders are set by mu3^3 alone
+    assert any(values == [0, 0, values[2], 0, 0, 0] != [0] * 6
+               for values in (leading_generator_values(arc, case) for arc in arcs))
+
+
+def test_orders_do_not_compose_series(monkeypatch):
+    for case in CASES.values():
+        predict_order(ParamArc.linear([1, 0, 0, 0, 0, 0]), case)  # mu per case, once
+
+    def refuse(*args):
+        raise AssertionError("compose_series called on the arc path")
+
+    monkeypatch.setattr(Poly, "compose_series", refuse)
+    rng = random.Random(7)
+    for case in CASES.values():
+        arc = random_arc(rng, case, 2)
+        predict_order(arc, case)
+        leading_generator_values(arc, case)
+
+
+def test_orders_need_monomials_in_mu(monkeypatch):
+    l1, l2 = lam(1), lam(2)
+    gens = [l1, l1 * l2 + l2**2, lam(3), lam(4), lam(5), lam(6)]
+    monkeypatch.setattr(bautin, "bautin_generators", lambda a, b: gens)
+    case = dataclasses.replace(GLOBAL_CENTER, a=F(7), b=F(5))  # not yet cached
+    with pytest.raises(ValueError, match="not a monomial"):
+        predict_order(ParamArc.linear([0, 1, 0, 0, 0, 0]), case)
 
 
 # -- Nakayama ----------------------------------------------------------------

@@ -347,6 +347,13 @@ def _mp_half_jump(h, mp):
     return (dn[0] - up[0]) / 2, (dn[1] - up[1]) / 2
 
 
+def _mp_picard_fuchs(h, J0, J2, mp):
+    """(I0, I2, J0, J2) from the Picard-Fuchs sums, with h as an mpf or mpc:
+    12 h + 4 formed in doubles would cost I2 its digits where the sum cancels."""
+    h = mp.mpmathify(h)
+    return (4 * h * J0 + J2) / 3, (4 * h * J0 + (12 * h + 4) * J2) / 15, J0, J2
+
+
 @pytest.mark.parametrize("h", [0.5 + 0.3j, -0.2 + 1e-3j, -1e3 - 1e-3j, 1e-3j, -0.1, -0.02], ids=str)
 def test_cut_plane_rounding_bound_against_40_digit_mpmath(h):
     """est_error covers the rounding error of all four values; real h is the
@@ -359,7 +366,7 @@ def test_cut_plane_rounding_bound_against_40_digit_mpmath(h):
         else:
             pv = vanishing_cycle_periods(h)
             J0, J2 = _mp_half_jump(h, mpmath)
-        want = ((4 * h * J0 + J2) / 3, (4 * h * J0 + (12 * h + 4) * J2) / 15, J0, J2)
+        want = _mp_picard_fuchs(h, J0, J2, mpmath)
         for got, ref in zip((pv.I0, pv.I2, pv.J0, pv.J2), want):
             assert abs(got - ref) <= pv.est_error * abs(ref), (got, ref)
 
@@ -372,9 +379,7 @@ def test_vanishing_cycle_against_40_digit_half_jump(h):
     mpmath = pytest.importorskip("mpmath")
     pv = vanishing_cycle_periods(h)
     with mpmath.workdps(40):
-        J0, J2 = _mp_half_jump(h, mpmath)
-        hm = mpmath.mpf(h)  # 12 h + 4 in floats would cost I2 its digits near h = 0
-        want = ((4 * hm * J0 + J2) / 3, (4 * hm * J0 + (12 * hm + 4) * J2) / 15, J0, J2)
+        want = _mp_picard_fuchs(h, *_mp_half_jump(h, mpmath), mpmath)
         for got, ref in zip((pv.I0, pv.I2, pv.J0, pv.J2), want):
             assert abs(got - ref) <= pv.est_error * abs(ref), (got, ref)
 

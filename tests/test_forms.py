@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from raylien.exactalg import PolyU, PolyXY
+from raylien.exactalg import PolyU, PolyXY, hamiltonian_xy
 from raylien.forms import (
     CASES,
     EIGHT_EXTERIOR,
@@ -61,6 +61,12 @@ def test_annulus_case_registry():
     assert (EIGHT_INTERIOR.a, EIGHT_INTERIOR.b) == (-1, 1)
     assert EIGHT_INTERIOR.h_lo == -0.25 and EIGHT_INTERIOR.h_hi == 0.0
     assert TRUNCATED_PENDULUM.h_hi == 0.25
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=lambda c: c.name)
+def test_hamiltonian_is_built_once_per_case(case):
+    assert case.hamiltonian() is case.hamiltonian()
+    assert case.hamiltonian() == hamiltonian_xy(case.a, case.b)
 
 
 # -- reduction ---------------------------------------------------------------

@@ -134,6 +134,23 @@ def test_trail_records_vanishing_orders():
         assert not r.is_zero()
 
 
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+def test_order_forms_are_built_on_demand(case, monkeypatch):
+    built = []
+    order_form = ParamArc.order_form
+
+    def counted(arc, k):
+        built.append(k)
+        return order_form(arc, k)
+
+    monkeypatch.setattr(ParamArc, "order_form", counted)
+    assert melnikov(ParamArc.linear([0, 0, 0, 0, 1, 0]), case).order == 1
+    assert built == [1]
+    built.clear()
+    assert melnikov(center_direction_arc(case), case).order == 3
+    assert built == [1, 2, 3]
+
+
 def test_second_order_arc():
     # lambda_6 = eps^2: first nonzero order is 2 with the lambda_6 row
     arc = ParamArc.from_rows([[0], [0], [0], [0], [0], [0, 1]])
