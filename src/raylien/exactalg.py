@@ -1,8 +1,10 @@
 """Exact rational arithmetic: sparse polynomials and linear solving.
 
-Every symbolic computation in the package runs over ``fractions.Fraction``
-(arbitrary precision, eagerly normalized, positive denominator), so results
-are exact and identity tests are reliable.
+Every symbolic computation in the package is exact.  A polynomial stores
+integer numerators over one positive common denominator, so its arithmetic
+(sums, products, derivatives, H-substitution) runs on Python ints;
+``fractions.Fraction`` appears only where coefficients are read one by one
+(``coeffs``, indexing, evaluation, printing) and in the linear elimination.
 
 One sparse polynomial type, :class:`Poly`, maps exponent tuples to
 coefficients and carries the names of its variables.  Thin constructors
@@ -18,15 +20,18 @@ takes dense or sparse rows; :func:`row_reduce` returns the same reduction
 as dense rows.
 
 Polynomials are immutable after construction and safe to share across
-threads.  Zero coefficients are never stored; the zero polynomial has an
-empty coefficient map and degree -1 (a finite stand-in for "minus infinity"
-that keeps comparisons simple).
+threads.  They are kept in a normal form (positive denominator, no common
+factor of the denominator and all numerators, no stored zero), so equal
+polynomials have equal representations.  The zero polynomial has no terms,
+denominator 1 and degree -1 (a finite stand-in for "minus infinity" that
+keeps comparisons simple).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -35,7 +40,6 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 XY = ("x", "y")
 
 
@@ -61,23 +65,55 @@ class VariableMismatchError(TypeError):
     """Raised when an operation mixes polynomials over different variables."""
 
 
-def _poly(coeffs: dict, vars: tuple[str, ...]) -> Poly:
-    """Wrap a clean {exponent tuple: nonzero Fraction} map without checks."""
+def _poly(num: dict, den: int, vars: tuple[str, ...]) -> Poly:
+    """The polynomial {e: num[e] / den}, without checks.
+
+    ``num`` maps exponent tuples to nonzero ints, ``den`` is a positive
+    int and ``vars`` a tuple of names; the common factor of ``den`` and the
+    numerators is divided out.
+    """
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
     p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", coeffs)
-    object.__setattr__(p, "vars", vars)
+    _set_num(p, num)
+    _set_den(p, den)
+    _set_vars(p, vars)
     return p
 
 
+def _mul_num(n1: dict, n2: dict) -> dict:
+    """The product of two numerator maps, zero sums included."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    if n1 and len(next(iter(n1))) == 2:  # (x, y): add exponents without map
+        for (i, j), a in n1.items():
+            for (k, l), b in n2.items():
+                e = (i + k, j + l)
+                out[e] = get(e, 0) + a * b
+        return out
+    for e1, a in n1.items():
+        for e2, b in n2.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + a * b
+    return out
+
+
 class Poly:
-    """Sparse polynomial over Fraction: {exponent tuple: coefficient}.
+    """Sparse polynomial with rational coefficients num[e] / den.
 
     ``vars`` names the variables; exponent tuples have one entry per name.
-    Coefficients are validated here, once; arithmetic results are built
-    from already-exact Fractions.
+    ``num`` maps exponent tuples to nonzero int numerators over the
+    positive int ``den``, and den shares no factor with all of them, so
+    ``==`` and ``hash`` compare representations.  Coefficients are
+    validated here, once; arithmetic runs on the numerators.
     """
 
-    __slots__ = ("coeffs", "vars")
+    __slots__ = ("num", "den", "vars")
+
+    from_numerators = staticmethod(_poly)
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], RationalLike] | None, vars: Sequence[str]):
         vars = tuple(vars)
@@ -87,27 +123,37 @@ class Poly:
             if len(e) != len(vars) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for variables {vars}")
             c = rat(c)
-            if c != 0:
-                data[e] = c
-        object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "vars", vars)
+            if c:
+                data[e] = c.as_integer_ratio()
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(d for _, d in data.values()))
+        _set_num(self, {e: n * (den // d) for e, (n, d) in data.items()})
+        _set_den(self, den)
+        _set_vars(self, vars)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as a new {exponent tuple: Fraction} map."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self.coeffs)) if self.coeffs else -1
+        return max(map(sum, self.num)) if self.num else -1
 
     def valuation(self) -> int | None:
         """Smallest total degree with a nonzero coefficient, None if zero."""
-        return min(map(sum, self.coeffs)) if self.coeffs else None
+        return min(map(sum, self.num)) if self.num else None
 
     def __getitem__(self, key: int | tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(key if isinstance(key, tuple) else (key,), _ZERO)
+        c = self.num.get(key if isinstance(key, tuple) else (key,))
+        return Fraction(c, self.den) if c else _ZERO
 
     def coeff_list(self) -> list[Fraction]:
         """Univariate coefficients [c0 .. c_deg]; empty list for zero."""
@@ -119,8 +165,11 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        out = dict(self.num) if s1 == 1 else {e: c * s1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            c *= s2
             s = out.get(e)
             if s is None:
                 out[e] = c
@@ -128,32 +177,31 @@ class Poly:
                 out[e] = s
             else:
                 del out[e]
-        return _poly(out, self.vars)
+        return _poly(out, den, self.vars)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return _poly({e: -c for e, c in self.coeffs.items()}, self.vars)
+        return _poly({e: -c for e, c in self.num.items()}, self.den, self.vars)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, a in self.coeffs.items():
-            for e2, b in other.coeffs.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                out[e] = a * b if s is None else s + a * b
-        return _poly({e: c for e, c in out.items() if c}, self.vars)
+        out = _mul_num(self.num, other.num)
+        return _poly({e: c for e, c in out.items() if c}, self.den * other.den, self.vars)
 
     def scale(self, c: RationalLike) -> Poly:
-        c = rat(c)
-        return _poly({e: a * c for e, a in self.coeffs.items()} if c else {}, self.vars)
+        if not isinstance(c, int):
+            c = rat(c)
+        if not c:
+            return _poly({}, 1, self.vars)
+        n = c.numerator
+        return _poly({e: a * n for e, a in self.num.items()}, self.den * c.denominator, self.vars)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        out = _poly({(0,) * len(self.vars): _ONE}, self.vars)
+        out = _poly({(0,) * len(self.vars): 1}, 1, self.vars)
         for _ in range(n):
             out = out * self
         return out
@@ -162,27 +210,30 @@ class Poly:
         """Partial derivative in the named variable."""
         i = self.vars.index(var)
         return _poly(
-            {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c for e, c in self.coeffs.items() if e[i]},
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c for e, c in self.num.items() if e[i]},
+            self.den,
             self.vars,
         )
 
     def integrate(self, var: str) -> Poly:
         """Antiderivative in the named variable with zero constant term."""
         i = self.vars.index(var)
+        m = lcm(*(e[i] + 1 for e in self.num))
         return _poly(
-            {e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1) for e, c in self.coeffs.items()},
+            {e[:i] + (e[i] + 1,) + e[i + 1:]: c * (m // (e[i] + 1)) for e, c in self.num.items()},
+            self.den * m,
             self.vars,
         )
 
     def truncate(self, max_degree: int) -> Poly:
         """Drop all terms of total degree > max_degree."""
-        return _poly({e: c for e, c in self.coeffs.items() if sum(e) <= max_degree}, self.vars)
+        return _poly({e: c for e, c in self.num.items() if sum(e) <= max_degree}, self.den, self.vars)
 
     def rename(self, *vars: str) -> Poly:
         """Same coefficients under new variable names (e.g. H -> h)."""
         if len(vars) != len(self.vars):
             raise ValueError("wrong number of variable names")
-        return _poly(self.coeffs, vars)
+        return _poly(self.num, self.den, vars)
 
     def compose_series(self, series: Sequence[Poly]) -> Poly:
         """Substitute series[i] for variable i (the series share variables)."""
@@ -190,14 +241,14 @@ class Poly:
             raise ValueError("wrong number of substitution series")
         vars = series[0].vars
         one = (0,) * len(vars)
-        out = _poly({}, vars)
-        for e, c in self.coeffs.items():
-            term = _poly({one: c}, vars)
+        out = _poly({}, 1, vars)
+        for e, c in self.num.items():
+            term = _poly({one: c}, 1, vars)
             for s, k in zip(series, e):
                 if k:
                     term = term * (s**k)
             out = out + term
-        return out
+        return _poly(out.num, out.den * self.den, vars)
 
     def __call__(self, point):
         """Value at a point: a number in one variable, else a sequence.
@@ -222,7 +273,7 @@ class Poly:
             conv = Fraction
         else:
             conv = complex if isinstance(x, complex) else float
-        if not self.coeffs:
+        if not self.num:
             return _ZERO if conv is Fraction else 0 * x
         acc = conv(self[self.degree()])
         for k in range(self.degree() - 1, -1, -1):
@@ -230,19 +281,25 @@ class Poly:
         return acc
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.vars == other.vars and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly)
+            and self.vars == other.vars
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
+        coeffs = self.coeffs
         # single-letter names juxtapose (x^2y); longer ones multiply (l2*l5^2)
         sep = "" if all(len(v) == 1 for v in self.vars) else "*"
         parts = []
-        for e in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
-            c = self.coeffs[e]
+        for e in sorted(coeffs, key=lambda e: (sum(e), e), reverse=True):
+            c = coeffs[e]
             mono = sep.join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k)
             if not mono:
                 parts.append(rat_str(c))
@@ -255,6 +312,10 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+# the slots' own setters, which bypass the immutability guard of __setattr__
+_set_num, _set_den, _set_vars = Poly.num.__set__, Poly.den.__set__, Poly.vars.__set__
+
+
 class PolyU:
     """Constructors of univariate polynomials; each returns a :class:`Poly`."""
 
@@ -263,7 +324,7 @@ class PolyU:
 
     @staticmethod
     def zero(var: str = "h") -> Poly:
-        return _poly({}, (var,))
+        return _poly({}, 1, (var,))
 
     @staticmethod
     def const(c: RationalLike, var: str = "h") -> Poly:
@@ -271,7 +332,7 @@ class PolyU:
 
     @staticmethod
     def variable(var: str = "h") -> Poly:
-        return _poly({(1,): _ONE}, (var,))
+        return _poly({(1,): 1}, 1, (var,))
 
     @staticmethod
     def from_coeff_list(coeffs: Sequence[RationalLike], var: str = "h") -> Poly:
@@ -287,7 +348,7 @@ class PolyXY:
 
     @staticmethod
     def zero() -> Poly:
-        return _poly({}, XY)
+        return _poly({}, 1, XY)
 
     @staticmethod
     def const(c: RationalLike) -> Poly:
@@ -311,7 +372,7 @@ class MultiPoly:
 
     @staticmethod
     def zero(nvars: int) -> Poly:
-        return _poly({}, _lambda_names(nvars))
+        return _poly({}, 1, _lambda_names(nvars))
 
     @staticmethod
     def const(nvars: int, c: RationalLike) -> Poly:
@@ -319,7 +380,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(nvars: int, idx: int) -> Poly:
-        return _poly({tuple(int(i == idx) for i in range(nvars)): _ONE}, _lambda_names(nvars))
+        return _poly({tuple(int(i == idx) for i in range(nvars)): 1}, 1, _lambda_names(nvars))
 
 
 def hamiltonian_xy(a: RationalLike, b: RationalLike) -> Poly:
@@ -327,25 +388,35 @@ def hamiltonian_xy(a: RationalLike, b: RationalLike) -> Poly:
     return PolyXY({(0, 2): Fraction(1, 2), (2, 0): rat(a) / 2, (4, 0): rat(b) / 4})
 
 
-def substitute_h(terms: Mapping[tuple[int, int, int], Fraction], H: Poly) -> Poly:
-    """The polynomial sum of c * H^e x^a y^b over terms {(e, a, b): c}.
+def substitute_h(
+    terms: Mapping[tuple[int, int, int], int | Fraction], H: Poly, den: int = 1
+) -> Poly:
+    """The polynomial sum of (c / den) H^e x^a y^b over terms {(e, a, b): c}.
 
-    ``H`` is a polynomial in (x, y) and the coefficients are Fractions.  The
-    terms are grouped by their power of H and summed by Horner's rule in H.
+    ``H`` is a polynomial in (x, y), the coefficients c are ints or
+    Fractions and ``den`` is a positive int.  With H = N / d (N integral)
+    and the c written as numerators n over one denominator, the terms are
+    grouped by their power of H and summed by Horner's rule in N,
+    sum n_e N^e d^(top-e), on ints; the sum is divided once at the end.
     """
-    by_power: dict[int, dict[tuple[int, int], Fraction]] = {}
+    by_power: dict[int, dict[tuple[int, int], int | Fraction]] = {}
     for (e, a, b), c in terms.items():
         if c:
             by_power.setdefault(e, {})[(a, b)] = c
     if not by_power:
-        return _poly({}, H.vars)
+        return _poly({}, 1, H.vars)
+    m = lcm(*(c.denominator for group in by_power.values() for c in group.values()))
+    N, d = H.num, H.den
     top = max(by_power)
-    out = _poly(by_power[top], H.vars)
-    for e in range(top - 1, -1, -1):
-        out = out * H
+    acc: dict[tuple[int, int], int] = {}
+    for e in range(top, -1, -1):
+        if acc:
+            acc = _mul_num(acc, N)
         if e in by_power:
-            out = out + _poly(by_power[e], H.vars)
-    return out
+            f = m * d ** (top - e)
+            for k, c in by_power[e].items():
+                acc[k] = acc.get(k, 0) + c.numerator * (f // c.denominator)
+    return _poly({k: c for k, c in acc.items() if c}, den * m * d**top, H.vars)
 
 
 SparseRow = Mapping[int, RationalLike]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .exactalg import (
     Poly,
@@ -51,69 +52,6 @@ from .exactalg import (
 
 class DecompositionError(ValueError):
     """No canonical decomposition under the given degree bounds."""
-
-
-@dataclass(frozen=True)
-class AnnulusCase:
-    """One period annulus of the unperturbed system.
-
-    (a, b) fixes the Hamiltonian sign case, the only input of the symbolic
-    reduction.  The rest serves the numerical modules: the open h-interval
-    (h_lo, h_hi) and the zero-count ceiling; ``fold``, 2.0 for an
-    x-symmetric oval (its s = x^2 interval starts at 0 and each s is crossed
-    twice), else 1.0; ``section_range``, the open x-interval of the section
-    {y = 0} transversal to the annulus; ``ab_float``, (a, b) as floats;
-    ``H``, the Hamiltonian that ``hamiltonian()`` returns.
-    """
-
-    name: str
-    a: Fraction
-    b: Fraction
-    h_lo: float
-    h_hi: float
-    zero_bound: int
-    fold: float
-    section_range: tuple[float, float]
-    ab_float: tuple[float, float] = field(init=False, repr=False, compare=False)
-    H: Poly = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ab_float", (float(self.a), float(self.b)))
-        object.__setattr__(self, "H", hamiltonian_xy(self.a, self.b))
-
-    def hamiltonian(self) -> Poly:
-        return self.H
-
-    def contains_h(self, h: float) -> bool:
-        return self.h_lo < h < self.h_hi
-
-    def __repr__(self) -> str:
-        return f"AnnulusCase({self.name})"
-
-
-GLOBAL_CENTER = AnnulusCase(
-    "global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5, 2.0, (0.0, math.inf))
-TRUNCATED_PENDULUM = AnnulusCase(
-    "truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5, 2.0, (0.0, 1.0))
-EIGHT_INTERIOR = AnnulusCase(
-    "eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5, 1.0, (1.0, math.sqrt(2.0)))
-EIGHT_EXTERIOR = AnnulusCase(
-    "eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6, 2.0, (math.sqrt(2.0), math.inf))
-
-CASES: dict[str, AnnulusCase] = {
-    c.name: c
-    for c in (GLOBAL_CENTER, TRUNCATED_PENDULUM, EIGHT_INTERIOR, EIGHT_EXTERIOR)
-}
-
-# The three distinct (a, b) sign cases (both eight-loop annuli share one).
-SIGN_CASES = (GLOBAL_CENTER, TRUNCATED_PENDULUM, EIGHT_INTERIOR)
-
-
-def get_case(name: str) -> AnnulusCase:
-    try:
-        return CASES[name]
-    except KeyError:
-        raise KeyError(f"unknown case {name!r}; choose from {sorted(CASES)}") from None
 
 
 class OneForm:
@@ -164,6 +102,72 @@ def exterior_derivative(f: Poly) -> OneForm:
 
 
 @dataclass(frozen=True)
+class AnnulusCase:
+    """One period annulus of the unperturbed system.
+
+    (a, b) fixes the Hamiltonian sign case, the only input of the symbolic
+    reduction.  The rest serves the numerical modules: the open h-interval
+    (h_lo, h_hi) and the zero-count ceiling; ``fold``, 2.0 for an
+    x-symmetric oval (its s = x^2 interval starts at 0 and each s is crossed
+    twice), else 1.0; ``section_range``, the open x-interval of the section
+    {y = 0} transversal to the annulus; ``ab_float``, (a, b) as floats;
+    ``H``, the Hamiltonian that ``hamiltonian()`` returns, and ``dH``, its
+    exterior derivative.
+    """
+
+    name: str
+    a: Fraction
+    b: Fraction
+    h_lo: float
+    h_hi: float
+    zero_bound: int
+    fold: float
+    section_range: tuple[float, float]
+    ab_float: tuple[float, float] = field(init=False, repr=False, compare=False)
+    H: Poly = field(init=False, repr=False, compare=False)
+    dH: OneForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ab_float", (float(self.a), float(self.b)))
+        object.__setattr__(self, "H", hamiltonian_xy(self.a, self.b))
+        object.__setattr__(self, "dH", exterior_derivative(self.H))
+
+    def hamiltonian(self) -> Poly:
+        return self.H
+
+    def contains_h(self, h: float) -> bool:
+        return self.h_lo < h < self.h_hi
+
+    def __repr__(self) -> str:
+        return f"AnnulusCase({self.name})"
+
+
+GLOBAL_CENTER = AnnulusCase(
+    "global-center", Fraction(1), Fraction(1), 0.0, math.inf, 5, 2.0, (0.0, math.inf))
+TRUNCATED_PENDULUM = AnnulusCase(
+    "truncated-pendulum", Fraction(1), Fraction(-1), 0.0, 0.25, 5, 2.0, (0.0, 1.0))
+EIGHT_INTERIOR = AnnulusCase(
+    "eight-interior", Fraction(-1), Fraction(1), -0.25, 0.0, 5, 1.0, (1.0, math.sqrt(2.0)))
+EIGHT_EXTERIOR = AnnulusCase(
+    "eight-exterior", Fraction(-1), Fraction(1), 0.0, math.inf, 6, 2.0, (math.sqrt(2.0), math.inf))
+
+CASES: dict[str, AnnulusCase] = {
+    c.name: c
+    for c in (GLOBAL_CENTER, TRUNCATED_PENDULUM, EIGHT_INTERIOR, EIGHT_EXTERIOR)
+}
+
+# The three distinct (a, b) sign cases (both eight-loop annuli share one).
+SIGN_CASES = (GLOBAL_CENTER, TRUNCATED_PENDULUM, EIGHT_INTERIOR)
+
+
+def get_case(name: str) -> AnnulusCase:
+    try:
+        return CASES[name]
+    except KeyError:
+        raise KeyError(f"unknown case {name!r}; choose from {sorted(CASES)}") from None
+
+
+@dataclass(frozen=True)
 class CanonicalDecomposition:
     """The quadruple (u, v, r, R) of a reduced one-form."""
 
@@ -176,23 +180,31 @@ class CanonicalDecomposition:
         return self.u.is_zero() and self.v.is_zero()
 
 
+# the monomials x^a y^b of (l1 + l2 x^2 + l3 y^2 + l4 x^4 + l5 y^4 + l6 x^6) y dx
+PERTURBATION_MONOMIALS = ((0, 1), (2, 1), (0, 3), (4, 1), (0, 5), (6, 1))
+
+
 def perturbation_form(lambdas: list[RationalLike]) -> OneForm:
     """(l1 + l2 x^2 + l3 y^2 + l4 x^4 + l5 y^4 + l6 x^6) y dx (the same in every case)."""
     if len(lambdas) != 6:
         raise ValueError("expected 6 coefficients")
-    monomials = ((0, 1), (2, 1), (0, 3), (4, 1), (0, 5), (6, 1))
-    return OneForm(PolyXY(dict(zip(monomials, lambdas))))
+    return OneForm(PolyXY(dict(zip(PERTURBATION_MONOMIALS, lambdas))))
 
 
 def verify_decomposition(omega: OneForm, d: CanonicalDecomposition, case: AnnulusCase) -> bool:
-    """Exact check of omega == (u(H) x^2 + v(H)) y dx + r dH + dR."""
-    H = case.hamiltonian()
-    terms = {(e, 2, 1): c for (e,), c in d.u.coeffs.items()}
-    terms.update({(e, 0, 1): c for (e,), c in d.v.coeffs.items()})
-    main = substitute_h(terms, H)
-    dH = exterior_derivative(H)
-    rebuilt = OneForm(main) + dH.mul_poly(d.r) + exterior_derivative(d.R)
-    return (omega - rebuilt).is_zero()
+    """Exact check of omega == (u(H) x^2 + v(H)) y dx + r dH + dR.
+
+    Both sides are rebuilt as polynomials in normal form (integer
+    numerators over one denominator), so they agree exactly when their
+    denominators and numerators are equal.
+    """
+    u, v = d.u, d.v
+    den = math.lcm(u.den, v.den)
+    terms = {(e, 2, 1): c * (den // u.den) for (e,), c in u.num.items()}
+    terms.update({(e, 0, 1): c * (den // v.den) for (e,), c in v.num.items()})
+    dH = case.dH
+    P = substitute_h(terms, case.H, den) + dH.P * d.r + d.R.diff("x")
+    return omega.P == P and omega.Q == dH.Q * d.r + d.R.diff("y")
 
 
 # ---------------------------------------------------------------------------
@@ -210,96 +222,126 @@ def verify_decomposition(omega: OneForm, d: CanonicalDecomposition, case: Annulu
 #
 # Terminal dx terms are H^e y dx -> v and H^e x^2 y dx -> u; any surviving
 # H^e x y dx term certifies that no decomposition exists.
+#
+# Every accumulator holds int numerators over one running denominator D.  A
+# rule divides its term by one int m (a+1, 2 or |b| (a+3) when a and b are
+# integers, times their denominators otherwise); when m does not divide
+# the numerator, D and every stored numerator are first multiplied by
+# m / gcd, so the engine stays exact for any rational (a, b).  Each rule
+# adds pending terms only at keys below its own in the order (b, a, e), so
+# the pending terms are taken from a max-heap of keys, largest first.
 # ---------------------------------------------------------------------------
 
 Key = tuple[int, int, int]  # (e, a, b) for H^e x^a y^b
 
 
-def _bump(d: dict[Key, Fraction], key: Key, c: Fraction):
-    if c == 0:
-        return
-    cur = d.get(key)
+def _bump(d: dict, key, c: int):
+    d[key] = d.get(key, 0) + c
+
+
+def _push(pending: dict[Key, int], heap: list[tuple[int, int, int]], key: Key, c: int):
+    """Add c to a pending term; a new key enters the heap as (-b, -a, -e)."""
+    cur = pending.get(key)
     if cur is None:
-        d[key] = c
+        pending[key] = c
+        heappush(heap, (-key[2], -key[1], -key[0]))
     else:
-        cur += c
-        if cur == 0:
-            del d[key]
-        else:
-            d[key] = cur
+        pending[key] = cur + c
 
 
 def _reduce_rewrite(omega: OneForm, case: AnnulusCase) -> CanonicalDecomposition:
-    alpha, beta = case.a, case.b
-    H = case.hamiltonian()
-
-    r_acc: dict[Key, Fraction] = {}
-    R_acc: dict[Key, Fraction] = {}
+    an, ad = case.a.numerator, case.a.denominator
+    bn, bd = case.b.numerator, case.b.denominator
+    # odd rule: 2c, -c a and -c b / 2 are multiples of c / m_odd
+    m_odd = math.lcm(ad, 2 * bd)
+    fa, fb = m_odd // ad * an, m_odd // (2 * bd) * bn
 
     # Q dy = d(int_y Q) - (d/dx int_y Q) dx
     Ry = omega.Q.integrate("y")
-    for (i, j), c in Ry.coeffs.items():
-        _bump(R_acc, (0, i, j), c)
     P = omega.P - Ry.diff("x")
+    D = math.lcm(Ry.den, P.den)
+    R_acc: dict[Key, int] = {(0, i, j): c * (D // Ry.den) for (i, j), c in Ry.num.items()}
+    pending: dict[Key, int] = {(0, i, j): c * (D // P.den) for (i, j), c in P.num.items()}
+    heap = [(-j, -i, 0) for i, j in P.num]
+    heapify(heap)
+    r_acc: dict[Key, int] = {}
+    u: dict[int, int] = {}
+    v: dict[int, int] = {}
+    residue: dict[int, int] = {}
+    stored = (pending, r_acc, R_acc, u, v, residue)
 
-    pending: dict[Key, Fraction] = {}
-    for (i, j), c in P.coeffs.items():
-        _bump(pending, (0, i, j), c)
+    def divide(t: int, m: int) -> int:
+        """t / m for m > 0, after rescaling D when m does not divide t."""
+        nonlocal D
+        if t % m:
+            s = m // math.gcd(t, m)
+            D *= s
+            for acc in stored:
+                for k in acc:
+                    acc[k] *= s
+            t *= s
+        return t // m
 
-    u: dict[int, Fraction] = {}
-    v: dict[int, Fraction] = {}
-    residue: dict[Key, Fraction] = {}
-
-    while pending:
-        key = max(pending, key=lambda k: (k[2], k[1], k[0]))
+    while heap:
+        nb, na, ne = heappop(heap)
+        e, a, b = key = (-ne, -na, -nb)
         c = pending.pop(key)
-        e, a, b = key
+        if not c:
+            continue  # cancelled to zero
         if b == 0:
             # H^e x^a dx = d(H^e x^(a+1)/(a+1)) - (e/(a+1)) H^(e-1) x^(a+1) dH
-            _bump(R_acc, (e, a + 1, 0), c / (a + 1))
+            q = divide(c, a + 1)
+            _bump(R_acc, (e, a + 1, 0), q)
             if e:
-                _bump(r_acc, (e - 1, a + 1, 0), -c * e / (a + 1))
+                _bump(r_acc, (e - 1, a + 1, 0), -q * e)
         elif b % 2 == 0:
             # integrate by parts, then y^(b-1) dy = y^(b-2)(dH - H_x dx)
-            _bump(R_acc, (e, a + 1, b), c / (a + 1))
+            q = divide(c, (a + 1) * ad * bd)
+            k = q * ad * bd  # c / (a+1)
+            _bump(R_acc, (e, a + 1, b), k)
             if e:
-                _bump(r_acc, (e - 1, a + 1, b), -c * e / (a + 1))
-            _bump(r_acc, (e, a + 1, b - 2), -c * b / (a + 1))
-            _bump(pending, (e, a + 2, b - 2), c * b * alpha / (a + 1))
-            _bump(pending, (e, a + 4, b - 2), c * b * beta / (a + 1))
+                _bump(r_acc, (e - 1, a + 1, b), -k * e)
+            _bump(r_acc, (e, a + 1, b - 2), -k * b)
+            _push(pending, heap, (e, a + 2, b - 2), q * b * an * bd)
+            _push(pending, heap, (e, a + 4, b - 2), q * b * bn * ad)
         elif b >= 3:
             # y^b = y^(b-2) (2H - alpha x^2 - (beta/2) x^4)
-            _bump(pending, (e + 1, a, b - 2), 2 * c)
-            _bump(pending, (e, a + 2, b - 2), -c * alpha)
-            _bump(pending, (e, a + 4, b - 2), -c * beta / 2)
+            q = divide(c, m_odd)
+            _push(pending, heap, (e + 1, a, b - 2), 2 * q * m_odd)
+            _push(pending, heap, (e, a + 2, b - 2), -q * fa)
+            _push(pending, heap, (e, a + 4, b - 2), -q * fb)
         elif a >= 3:
-            # x^a y dx via d(H^e x^(a-3) y^3); see module comment
-            f = 2 * c / (beta * (a + 3))
+            # x^a y dx via d(H^e x^(a-3) y^3); see module comment.
+            # f = 2c / (beta (a+3)) = sign(b) q ad bd with q = 2c / (|bn| (a+3) ad)
+            q = divide(2 * c, abs(bn) * (a + 3) * ad)
+            if bn < 0:
+                q = -q
+            f = q * ad * bd
             _bump(R_acc, (e, a - 3, 3), -f)
             if e:
                 _bump(r_acc, (e - 1, a - 3, 3), f * e)
             _bump(r_acc, (e, a - 3, 1), 3 * f)
             if a > 3:
-                _bump(pending, (e + 1, a - 4, 1), 2 * f * (a - 3))
-            _bump(pending, (e, a - 2, 1), -f * alpha * a)
+                _push(pending, heap, (e + 1, a - 4, 1), 2 * f * (a - 3))
+            _push(pending, heap, (e, a - 2, 1), -q * bd * an * a)  # -f alpha a
         elif a == 2:
-            u[e] = u.get(e, Fraction(0)) + c
+            _bump(u, e, c)
         elif a == 0:
-            v[e] = v.get(e, Fraction(0)) + c
+            _bump(v, e, c)
         else:  # a == 1, b == 1: no decomposition exists
-            _bump(residue, key, c)
+            _bump(residue, e, c)
 
-    if residue:
-        terms = ", ".join(f"{c} * H^{e} x y dx" for (e, _, _), c in sorted(residue.items()))
+    if any(residue.values()):
+        terms = ", ".join(f"{Fraction(c, D)} * H^{e} x y dx" for e, c in sorted(residue.items()) if c)
         raise DecompositionError(
             f"no canonical decomposition: irreducible odd/odd residue [{terms}]"
         )
 
     return CanonicalDecomposition(
-        u=PolyU(u, "H"),
-        v=PolyU(v, "H"),
-        r=substitute_h(r_acc, H),
-        R=substitute_h(R_acc, H),
+        u=Poly.from_numerators({(e,): c for e, c in u.items() if c}, D, ("H",)),
+        v=Poly.from_numerators({(e,): c for e, c in v.items() if c}, D, ("H",)),
+        r=substitute_h(r_acc, case.H, D),
+        R=substitute_h(R_acc, case.H, D),
     )
 
 
@@ -322,8 +364,7 @@ def _reduce_ansatz(
     deg_R: int,
     pivot_order: str,
 ) -> CanonicalDecomposition | None:
-    H = case.hamiltonian()
-    dH = exterior_derivative(H)
+    H, dH = case.H, case.dH
 
     # unknown layout: u_0..u_du, v_0..v_dv, r_(i,j), R_(i,j) (grlex, no R const)
     unknowns: list[tuple[str, tuple]] = []
@@ -347,7 +388,7 @@ def _reduce_ansatz(
 
     for k in range(deg_uv + 1):  # u_k: H^k x^2 y dx, v_k: H^k y dx
         for name, a, b in (("u", 2, 1), ("v", 0, 1)):
-            for mono, c in substitute_h({(k, a, b): Fraction(1)}, H).coeffs.items():
+            for mono, c in substitute_h({(k, a, b): 1}, H).coeffs.items():
                 add("P", mono, index[(name, (k,))], c)
     for (ri, rj) in r_keys:
         col = index[("r", (ri, rj))]
@@ -403,8 +444,8 @@ def _ansatz_bounds(omega: OneForm) -> list[tuple[int, int, int]]:
     """
     deg = max(omega.degree(), 1)
     attempts = [(deg // 4 + 1, deg + 2, deg + 2), (deg // 4 + 3, deg + 6, deg + 6)]
-    weights = [a + 2 * b + 1 for a, b in omega.P.coeffs]
-    weights += [a + 2 * b + 2 for a, b in omega.Q.coeffs]
+    weights = [a + 2 * b + 1 for a, b in omega.P.num]
+    weights += [a + 2 * b + 2 for a, b in omega.Q.num]
     w = max(weights, default=0)
     cap = ((w - 3) // 4, w - 4, w)
     if any(c > a for c, a in zip(cap, attempts[-1])):

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactalg import Poly, PolyU, PolyXY, RationalLike, rat, row_reduce, solve_linear_exact
+from .exactalg import XY, Poly, PolyU, PolyXY, RationalLike, rat, row_reduce, solve_linear_exact
 from .forms import (
+    PERTURBATION_MONOMIALS,
     AnnulusCase,
     CanonicalDecomposition,
     OneForm,
     exterior_derivative,
-    perturbation_form,
     reduce as reduce_form,
 )
 
@@ -75,8 +75,12 @@ class ParamArc:
         return all(s.is_zero() for s in self.series)
 
     def order_form(self, k: int) -> OneForm:
-        """omega_k built from the order-k coefficient row."""
-        return perturbation_form(self.coefficient_row(k))
+        """omega_k = perturbation_form(coefficient_row(k)), built from the
+        series' numerators over the lcm of their denominators."""
+        row = [(s.num.get((k,)), s.den) for s in self.series]
+        den = lcm(*(d for n, d in row if n))
+        num = {m: n * (den // d) for m, (n, d) in zip(PERTURBATION_MONOMIALS, row) if n}
+        return OneForm(Poly.from_numerators(num, den, XY))
 
 
 @dataclass(frozen=True)

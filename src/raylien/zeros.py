@@ -74,7 +74,8 @@ class VElement:
         if self.basis not in ("I", "J"):
             raise ValueError("basis must be 'I' or 'J'")
         for name, poly in (("pc", self.p), ("qc", self.q)):
-            object.__setattr__(self, name, tuple(float(poly[k]) for k in (2, 1, 0)))
+            # int / int rounds correctly: the double of float(poly[k]), without a Fraction
+            object.__setattr__(self, name, tuple(poly.num.get((k,), 0) / poly.den for k in (2, 1, 0)))
 
     def is_zero(self) -> bool:
         return self.p.is_zero() and self.q.is_zero()

@@ -1,5 +1,6 @@
 """Exact algebra layer: polynomials, solver, determinism."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -293,3 +294,131 @@ def test_multipoly_truncate_and_min_degree():
     p = l1 + (l1 ** 4)
     assert p.truncate(2) == l1
     assert p.valuation() == 1
+
+
+# -- integer numerators against a {exponent: Fraction} reference -------------
+
+
+def _ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, F(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, a in p.items():
+        for e2, b in q.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + a * b
+    return _ref_clean(out)
+
+
+def _ref_pow(p, n, nvars=2):
+    out = {(0,) * nvars: F(1)}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_diff(p, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
+
+
+def _ref_integrate(p, i):
+    return {e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1) for e, c in p.items()}
+
+
+def _assert_normal(p):
+    """den > 0, gcd(den, numerators) = 1, no stored zero, and coeffs agree."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) and c != 0 for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert p.coeffs == {e: F(c, p.den) for e, c in p.num.items()}
+
+
+ref_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_rationals, max_size=5
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_terms, ref_terms, small_rationals, st.integers(0, 3), st.integers(0, 6))
+def test_integer_arithmetic_matches_the_fraction_reference(t1, t2, c, n, cap):
+    a, b = PolyXY(t1), PolyXY(t2)
+    ra, rb = _ref_clean(t1), _ref_clean(t2)
+    results = {
+        "a": (a, ra),
+        "+": (a + b, _ref_add(ra, rb)),
+        "-": (a - b, _ref_add(ra, {e: -v for e, v in rb.items()})),
+        "neg": (-a, {e: -v for e, v in ra.items()}),
+        "*": (a * b, _ref_mul(ra, rb)),
+        "scale": (a.scale(c), _ref_clean({e: v * c for e, v in ra.items()})),
+        "scale int": (a.scale(n - 1), _ref_clean({e: v * (n - 1) for e, v in ra.items()})),
+        "**": (a**n, _ref_pow(ra, n)),
+        "diff x": (a.diff("x"), _ref_diff(ra, 0)),
+        "diff y": (a.diff("y"), _ref_diff(ra, 1)),
+        "integrate x": (a.integrate("x"), _ref_integrate(ra, 0)),
+        "integrate y": (a.integrate("y"), _ref_integrate(ra, 1)),
+        "truncate": (a.truncate(cap), {e: v for e, v in ra.items() if sum(e) <= cap}),
+    }
+    for name, (p, ref) in results.items():
+        _assert_normal(p)
+        assert p.coeffs == ref, name
+        assert all(p[e] == ref.get(e, 0) for e in [(0, 0), (1, 2), (3, 3)] + list(ref)), name
+    # structural equality and hashing: one value reached by two routes
+    for p, q in [((a + b) - b, a), (a * b, b * a), (a.scale(c).scale(2), a.scale(2 * c))]:
+        assert p == q and hash(p) == hash(q)
+        assert (p.num, p.den) == (q.num, q.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_terms, ref_terms, ref_terms)
+def test_compose_series_matches_the_fraction_reference(t, s1, s2):
+    p = PolyXY({e: v for e, v in t.items() if sum(e) <= 3})
+    series = [PolyXY(s1).truncate(2), PolyXY(s2).truncate(2)]
+    ref = {}
+    for (i, j), c in p.coeffs.items():
+        term = _ref_mul(_ref_pow(series[0].coeffs, i), _ref_pow(series[1].coeffs, j))
+        ref = _ref_add(ref, {e: v * c for e, v in term.items()})
+    got = p.compose_series(series)
+    _assert_normal(got)
+    assert got.coeffs == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        small_rationals,
+        max_size=5,
+    ),
+    small_rationals,
+    small_rationals.filter(bool),
+    st.integers(1, 12),
+)
+def test_substitute_h_matches_the_fraction_reference(terms, a, b, den):
+    H = hamiltonian_xy(a, b)
+    ref = {}
+    for (e, i, j), c in terms.items():
+        term = _ref_mul(_ref_pow(H.coeffs, e), {(i, j): c / den})
+        ref = _ref_add(ref, term)
+    got = substitute_h(terms, H, den)
+    _assert_normal(got)
+    assert got.coeffs == ref
+    ints = {k: c.numerator for k, c in terms.items()}
+    assert substitute_h(ints, H, den) == substitute_h({k: F(c) for k, c in ints.items()}, H, den)
+
+
+def test_zero_and_constructed_polynomials_are_normal():
+    for p in [PolyXY.zero(), PolyXY({(1, 0): F(2, 4), (0, 1): F(3, 6)}), PolyU({0: 0}, "h"),
+              PolyXY.monomial(1, 1, F(-6, 4)) - PolyXY.monomial(1, 1, F(-3, 2))]:
+        _assert_normal(p)
+    assert PolyXY.zero().den == 1
+    assert PolyXY({(1, 0): F(1, 2), (0, 1): F(1, 3)}).den == 6
+    assert PolyXY({(1, 0): F(1, 2), (0, 1): F(1, 3)}).num == {(1, 0): 3, (0, 1): 2}

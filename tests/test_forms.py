@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from raylien import forms
 from raylien.exactalg import PolyU, PolyXY, hamiltonian_xy
 from raylien.forms import (
     CASES,
@@ -13,6 +14,7 @@ from raylien.forms import (
     GLOBAL_CENTER,
     SIGN_CASES,
     TRUNCATED_PENDULUM,
+    AnnulusCase,
     CanonicalDecomposition,
     DecompositionError,
     OneForm,
@@ -189,3 +191,59 @@ def test_eight_interior_and_exterior_share_reduction():
     di = reduce(om, EIGHT_INTERIOR)
     de = reduce(om, EIGHT_EXTERIOR)
     assert di.u == de.u and di.v == de.v
+
+
+# -- exactness and verification on integer numerators ------------------------
+
+
+def test_dH_is_built_once_per_case(monkeypatch):
+    om = mono_form(3, 2) + OneForm(PolyXY.monomial(0, 5, F(2, 3)), PolyXY.monomial(2, 1, F(-1, 5)))
+    warm = {case: (reduce(om, case), reduce(om, case, method="ansatz")) for case in SIGN_CASES}
+
+    def refuse(f):
+        raise AssertionError("exterior_derivative called during a reduction")
+
+    monkeypatch.setattr(forms, "exterior_derivative", refuse)
+    for case in SIGN_CASES:
+        assert case.dH == exterior_derivative(case.H)
+        assert (reduce(om, case), reduce(om, case, method="ansatz")) == warm[case]
+
+
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize("part, mono", [("u", 1), ("v", 1), ("r", (1, 1)), ("R", (1, 1)), ("R", (0, 2))])
+def test_verify_decomposition_rejects_one_perturbed_monomial(case, part, mono, monkeypatch):
+    """One extra term c H^e in u or v, or c x^i y^j in r or R (y^2 changes only dy)."""
+    om = OneForm(PolyXY({(0, 3): F(2, 3), (4, 1): F(-5, 2), (2, 3): 1}), PolyXY.monomial(1, 2, 3))
+    d = reduce(om, case)
+    assert verify_decomposition(om, d, case)
+    bump = PolyU({mono: F(1, 7)}, "H") if part in "uv" else PolyXY.monomial(*mono, F(1, 7))
+    fields = {name: getattr(d, name) for name in ("u", "v", "r", "R")}
+    fields[part] = fields[part] + bump
+    bad = CanonicalDecomposition(**fields)
+    assert not verify_decomposition(om, bad, case)
+    monkeypatch.setattr(forms, "_reduce_rewrite", lambda omega, c: bad)
+    with pytest.raises(AssertionError, match="exact verification"):
+        reduce(om, case)
+
+
+# a sign case with non-integer (a, b): every rule's divisor then carries
+# the denominators of a and b, so the rewrite engine rescales its numerators
+RATIONAL_CASE = AnnulusCase("t", F(3, 2), F(-2, 5), 0.0, 0.1, 5, 2.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("degree", [3, 5, 7])
+def test_non_integer_case_reduces_with_both_engines(degree):
+    """Dense forms: every odd-degree monomial in dx and dy but x y^6 dx and
+    x^2 y^5 dy, which the ansatz reaches only at its slower weighted-degree cap."""
+    rng = random.Random(7000 + degree)
+    terms = {"P": {}, "Q": {}}
+    for t in range(1, degree + 1, 2):
+        for a in range(t + 1):
+            for part in ("P", "Q"):
+                if (part, a, t - a) not in {("P", 1, 6), ("Q", 2, 5)}:
+                    terms[part][(a, t - a)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+    om = OneForm(PolyXY(terms["P"]), PolyXY(terms["Q"]))
+    d_rw = reduce(om, RATIONAL_CASE)
+    d_an = reduce(om, RATIONAL_CASE, method="ansatz")
+    assert (d_rw.u, d_rw.v) == (d_an.u, d_an.v)
+    assert not d_rw.uv_is_zero()

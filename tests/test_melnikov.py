@@ -1,5 +1,6 @@
 """Melnikov recursion: order-1 tables, cubic orders, structure properties."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,7 @@ from raylien.melnikov import (
     lemma_cross_form,
     melnikov,
 )
+from raylien.forms import perturbation_form
 from raylien.forms import reduce as reduce_form
 
 
@@ -149,6 +151,20 @@ def test_order_forms_are_built_on_demand(case, monkeypatch):
     built.clear()
     assert melnikov(center_direction_arc(case), case).order == 3
     assert built == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [-3, 1], [1, 0], [-3, 1], [0, 1], [0, 1]],
+        [[F(1, 2), 0, F(-2, 3)], [0], [F(3, 4), F(5, 6)], [], [F(-7, 9), 0, 2], [0, F(1, 10)]],
+        [[F(2, 4), F(4, 6)], [F(6, 8)], [0, 0], [F(-9, 3)], [], [F(1, 5), F(3, 15)]],
+    ],
+)
+def test_order_form_equals_the_perturbation_form_of_its_row(rows):
+    arc = ParamArc.from_rows(rows)
+    for k in range(1, arc.truncation_order + 2):
+        assert arc.order_form(k) == perturbation_form(arc.coefficient_row(k))
 
 
 def test_second_order_arc():
@@ -281,3 +297,42 @@ def test_lambdas_for_first_order_roundtrip():
         assert lam[2] == 0  # the center direction is the zeroed free column
         res = melnikov(ParamArc.linear(lam), case)
         assert res.order == 1 and res.p == p and res.q == q
+
+
+def _pinned_arc(rng, case, depth):
+    """A criterion-10 style arc: `depth` orders along the centre direction,
+    then a tail with small rational coefficients (some non-integer)."""
+    rows = [[] for _ in range(6)]
+    for _ in range(depth):
+        c = F(rng.randint(-4, 4), rng.randint(1, 2))
+        tuned = [0, -3 * case.a * c, c, -3 * case.b * c, 0, 0]
+        for j in range(6):
+            rows[j].append(tuned[j])
+    tail = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
+    if not any(tail):
+        tail[rng.randrange(6)] = F(1)
+    for j in range(6):
+        rows[j].append(tail[j])
+    return ParamArc.from_rows(rows)
+
+
+def _melnikov_text(case, res):
+    trail = " ; ".join(f"{u} | {v} | {r}" for u, v, r in res.trail)
+    return f"{case.name} {res.order} {res.p} | {res.q} [{trail}]"
+
+
+# sha256 of the text of 240 results (order, p, q and every trail triple
+# (u_k, v_k, r_k)); computed with the Fraction-coefficient polynomials, before
+# Poly stored integer numerators over a common denominator.
+PINNED_MELNIKOV_SHA256 = "371de7bde5ccc98dda858d65a50917fec74314270790c57b975e4ffaebcb9f20"
+
+
+def test_melnikov_results_match_the_pinned_digest():
+    rng = random.Random(2024)
+    lines = []
+    for i in range(240):
+        case = (GLOBAL_CENTER, TRUNCATED_PENDULUM, EIGHT_INTERIOR, EIGHT_EXTERIOR)[i % 4]
+        arc = _pinned_arc(rng, case, (i // 4) % 3)
+        lines.append(_melnikov_text(case, melnikov(arc, case, max_order=9)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_MELNIKOV_SHA256

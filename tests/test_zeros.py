@@ -408,6 +408,7 @@ def test_float_coefficient_eval_is_the_exact_polynomials_rounded(name, basis, pc
     b2, b0 = (pv.I2, pv.I0) if basis == "I" else (pv.J2, pv.J0)
     exact = float(e.p(h)) * b2 + float(e.q(h)) * b0
     assert struct.pack("<d", eval_V(e, h)) == struct.pack("<d", exact)
+    assert (e.pc, e.qc) == tuple(tuple(float(f[k]) for k in (2, 1, 0)) for f in (e.p, e.q))
     # the scan's array form is np.polyval's, bit for bit
     hs = np.array([h, -h, 2.0 * h])
     for c in (e.pc, e.qc):
