@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=case_names)
     p.add_argument("--lambda", required=True, dest="lam", help="6 comma-separated floats")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=_positive_int, default=200)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 

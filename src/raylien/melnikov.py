@@ -116,10 +116,12 @@ def melnikov(
     arc: ParamArc,
     case: AnnulusCase,
     max_order: int = 9,
-    reducer: str = "rewrite",
-    pivot_order: str = "grlex",
 ) -> MelnikovResult | AllVanishedReport:
     """First nonvanishing Melnikov function of the arc, up to ``max_order``.
+
+    Each Omega_k is reduced by the rewrite engine of
+    :func:`~raylien.forms.reduce`.  The first nonvanishing M_n does not
+    depend on the representatives r_j that engine picks.
 
     Returns an :class:`AllVanishedReport` (never silently truncates) when
     all orders <= max_order vanish; its ``arc_is_zero`` flag distinguishes
@@ -137,7 +139,7 @@ def melnikov(
             i = k - j
             if not omegas[i].is_zero() and not rs[j].is_zero():
                 Omega = Omega + omegas[i].mul_poly(rs[j])
-        dec = reduce_form(Omega, case, method=reducer, pivot_order=pivot_order)
+        dec = reduce_form(Omega, case)
         if not dec.uv_is_zero():
             return MelnikovResult(
                 order=k,

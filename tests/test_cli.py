@@ -227,6 +227,8 @@ def test_periods_takes_exactly_one_of_h_and_grid(levels, capsys):
 @pytest.mark.parametrize("argv", [
     ["pfcheck", "--case", "global-center", "--grid", "0"],
     ["periods", "--case", "global-center", "--grid", "-3"],
+    ["simulate", "--case", "global-center", "--lambda", "1,0,0,0,0,0", "--csv", "--grid=0"],
+    ["simulate", "--case", "global-center", "--lambda", "1,0,0,0,0,0", "--grid=-3"],
 ])
 def test_grid_must_be_a_positive_integer(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,12 @@
 """One-forms, exterior derivative, and the canonical reduction engines."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from raylien import forms
+from raylien import catalog, forms
 from raylien.exactalg import PolyU, PolyXY, hamiltonian_xy
 from raylien.forms import (
     CASES,
@@ -145,17 +146,23 @@ def test_reduction_soundness_random_corpus():
             assert verify_decomposition(om, d, case), (case.name, a, b)
 
 
-def test_uv_unique_across_engines_and_pivot_orders():
+def test_uv_unique_across_engines_and_pivot_orders(monkeypatch):
     corpus = [mono_form(0, 3), mono_form(4, 1), mono_form(2, 3), mono_form(1, 4)]
-    for case in SIGN_CASES:
-        for om in corpus:
-            d0 = reduce(om, case, method="rewrite")
-            d1 = reduce(om, case, method="ansatz", pivot_order="grlex")
-            d2 = reduce(om, case, method="ansatz", pivot_order="reversed")
-            assert d0.u == d1.u == d2.u
-            assert d0.v == d1.v == d2.v
-            for d in (d1, d2):
-                assert verify_decomposition(om, d, case)
+    jobs = [(om, case) for case in SIGN_CASES for om in corpus]
+    grlex = [reduce(om, case, method="ansatz") for om, case in jobs]
+    solve = forms.solve_linear_exact
+    monkeypatch.setattr(
+        forms, "solve_linear_exact",
+        lambda rows, rhs, column_order: solve(rows, rhs, column_order[::-1]),
+    )
+    reversed_ = [reduce(om, case, method="ansatz") for om, case in jobs]
+    assert grlex != reversed_
+    for (om, case), d1, d2 in zip(jobs, grlex, reversed_):
+        d0 = reduce(om, case, method="rewrite")
+        assert d0.u == d1.u == d2.u
+        assert d0.v == d1.v == d2.v
+        for d in (d1, d2):
+            assert verify_decomposition(om, d, case)
 
 
 @pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
@@ -163,7 +170,7 @@ def test_uv_unique_across_engines_and_pivot_orders():
     "om", [mono_form(1, 6), OneForm(None, PolyXY.monomial(2, 5))], ids=["xy6dx", "x2y5dy"]
 )
 def test_ansatz_reaches_the_weighted_degree_cap(om, case):
-    # both need R of degree 14, above the second attempt's 13
+    # both weigh 14 and need R of total degree 14, the most that weight allows
     d = reduce(om, case, method="ansatz")
     d0 = reduce(om, case)
     assert (d.u, d.v) == (d0.u, d0.v)
@@ -171,9 +178,74 @@ def test_ansatz_reaches_the_weighted_degree_cap(om, case):
 
 
 def test_ansatz_raises_on_odd_odd_at_the_cap():
-    # x y^7 dx has weight 16, so the cap (3, 12, 16) is a third attempt
-    with pytest.raises(DecompositionError, match=r"\(3, 12, 16\)"):
+    # the message names the weight of x y^7 dx, the bound of the one solve
+    with pytest.raises(DecompositionError, match=r"at weight 16\b"):
         reduce(mono_form(1, 7), GLOBAL_CENTER, method="ansatz")
+
+
+def _dense_form(rng, degree):
+    """Every odd-total-degree monomial up to `degree` in dx and dy."""
+    P, Q = {}, {}
+    for t in range(1, degree + 1, 2):
+        for a in range(t + 1):
+            P[(a, t - a)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+            Q[(a, t - a)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+    return OneForm(PolyXY(P), PolyXY(Q))
+
+
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize("degree", [3, 7])
+def test_ansatz_solves_once_within_the_weight_bounds(case, degree, monkeypatch):
+    om = _dense_form(random.Random(degree), degree)
+    w = max([a + 2 * b + 1 for a, b in om.P.num] + [a + 2 * b + 2 for a, b in om.Q.num])
+    n_uv = (w - 3) // 4 + 1
+    n_r = sum(1 for i in range(w) for j in range(w) if i + 2 * j <= w - 4)
+    n_R = sum(1 for i in range(w + 1) for j in range(w + 1) if i + 2 * j <= w) - 1
+    widths = []
+    solve = forms.solve_linear_exact
+
+    def counted(rows, rhs, column_order):
+        widths.append(len(column_order))
+        return solve(rows, rhs, column_order)
+
+    monkeypatch.setattr(forms, "solve_linear_exact", counted)
+    d = reduce(om, case, method="ansatz")
+    assert widths == [2 * n_uv + n_r + n_R]
+    assert max(d.u.degree(), d.v.degree()) < n_uv
+    assert all(i + 2 * j <= w - 4 for i, j in d.r.num)
+    assert all(i + 2 * j <= w for i, j in d.R.num)
+
+
+def _ansatz_corpus():
+    """The 23 catalog forms; x^a y^b dx and x^a y^b dy for a <= 9, b <= 7,
+    each on one sign case in turn; dense forms of degree 3, 5, 7 per case."""
+    jobs = [(e.form, e.case) for e in catalog.all_entries()]
+    monos = [(a, b, dy) for a in range(10) for b in range(8) for dy in (False, True)]
+    for n, (a, b, dy) in enumerate(monos):
+        mono = PolyXY.monomial(a, b)
+        jobs.append((OneForm(None, mono) if dy else OneForm(mono), SIGN_CASES[n % 3]))
+    rng = random.Random(20261020)
+    jobs += [(_dense_form(rng, degree), case) for case in CASES.values() for degree in (3, 5, 7)]
+    return jobs
+
+
+def _ansatz_text(om, case):
+    try:
+        d = reduce(om, case, method="ansatz")
+    except DecompositionError:
+        return f"{case.name} {om}: none"
+    return f"{case.name} {om}: {d.u} | {d.v} | {d.r} | {d.R}"
+
+
+# sha256 of the text of the ansatz's (u, v, r, R) over _ansatz_corpus(), or
+# "none" where no decomposition exists; computed with the ansatz that tried
+# total-degree bounds before its weighted-degree cap.
+PINNED_ANSATZ_SHA256 = "5ce2e39cded5ce459f7cd4fc639439616b2ca4af2d45e901c226c6c327cda4cf"
+
+
+def test_ansatz_results_match_the_pinned_digest():
+    text = "\n".join(_ansatz_text(om, case) for om, case in _ansatz_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ANSATZ_SHA256
 
 
 def test_reduce_is_linear_in_omega():
@@ -233,16 +305,7 @@ RATIONAL_CASE = AnnulusCase("t", F(3, 2), F(-2, 5), 0.0, 0.1, 5, 2.0, (0.0, 1.0)
 
 @pytest.mark.parametrize("degree", [3, 5, 7])
 def test_non_integer_case_reduces_with_both_engines(degree):
-    """Dense forms: every odd-degree monomial in dx and dy but x y^6 dx and
-    x^2 y^5 dy, which the ansatz reaches only at its slower weighted-degree cap."""
-    rng = random.Random(7000 + degree)
-    terms = {"P": {}, "Q": {}}
-    for t in range(1, degree + 1, 2):
-        for a in range(t + 1):
-            for part in ("P", "Q"):
-                if (part, a, t - a) not in {("P", 1, 6), ("Q", 2, 5)}:
-                    terms[part][(a, t - a)] = F(rng.randint(-9, 9), rng.randint(1, 9))
-    om = OneForm(PolyXY(terms["P"]), PolyXY(terms["Q"]))
+    om = _dense_form(random.Random(7000 + degree), degree)
     d_rw = reduce(om, RATIONAL_CASE)
     d_an = reduce(om, RATIONAL_CASE, method="ansatz")
     assert (d_rw.u, d_rw.v) == (d_an.u, d_an.v)
