@@ -8,10 +8,13 @@ CSV emitters are the designated plot output; there is no plotting here.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +22,8 @@ from . import catalog
 from .bautin import MembershipError, bautin_generators, nakayama_certify
 from .elliptic import case_grid, periods_complex, periods_real, pf_residual
 from .exactalg import MultiPoly, Poly, PolyXY, rat, rat_str
-from .forms import CASES, OneForm, get_case, reduce as reduce_form
-from .melnikov import AllVanishedReport, ParamArc, melnikov
+from .forms import CASES, SIGN_CASES, OneForm, get_case, reduce as reduce_form, verify_decomposition
+from .melnikov import AllVanishedReport, MelnikovResult, ParamArc, melnikov
 from .simulate import SimConfig, default_x_window, find_limit_cycles, poincare_scan
 from .zeros import ContourSpec, VElement, count_zeros_real, winding_number_F
 
@@ -35,7 +38,7 @@ def _poly_xy_json(p: Poly) -> dict[str, str]:
 
 _FORM_RE = re.compile(
     r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:x(?:\^(?P<xp>\d+))?)?\s*(?:y(?:\^(?P<yp>\d+))?)?\s*(?:dx)?\s*$"
+    r"(?:(?P<x>x)(?:\^(?P<xp>\d+))?)?\s*(?:(?P<y>y)(?:\^(?P<yp>\d+))?)?\s*(?:dx)?\s*$"
 )
 
 
@@ -44,22 +47,15 @@ def parse_monomial_form(text: str) -> OneForm:
     m = _FORM_RE.match(text)
     if not m or not text.strip():
         raise ValueError(f"cannot parse form spec {text!r}")
-    coef = rat(m.group("coef")) if m.group("coef") else Fraction(1)
-    xp = int(m.group("xp")) if m.group("xp") else (1 if _mentions(text, "x") else 0)
-    yp = int(m.group("yp")) if m.group("yp") else (1 if _mentions(text, "y") else 0)
+    coef = rat(m["coef"]) if m["coef"] else Fraction(1)
+    xp = int(m["xp"] or 1) if m["x"] else 0
+    yp = int(m["yp"] or 1) if m["y"] else 0
     return OneForm(PolyXY.monomial(xp, yp, coef))
 
 
-def _mentions(text: str, var: str) -> bool:
-    body = text.replace("dx", " ")
-    return var in body
-
-
-def _parse_coeff_list(text: str) -> list[Fraction]:
-    text = text.strip()
-    if not text:
-        return []
-    return [rat(tok) if "/" in tok else Fraction(tok) for tok in text.split(",")]
+def _complex_json(z: complex) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _emit(obj) -> None:
@@ -73,18 +69,9 @@ def _emit(obj) -> None:
 
 def _cmd_reduce(args) -> int:
     case = get_case(args.case)
-    omega = parse_monomial_form(args.form)
-    dec = reduce_form(omega, case, method=args.method)
-    _emit(
-        {
-            "case": case.name,
-            "form": args.form.strip(),
-            "u": _poly_u_json(dec.u),
-            "v": _poly_u_json(dec.v),
-            "r": _poly_xy_json(dec.r),
-            "R": _poly_xy_json(dec.R),
-        }
-    )
+    dec = reduce_form(args.form.value, case, method=args.method)
+    _emit({"case": case.name, "form": args.form.text, "u": _poly_u_json(dec.u),
+           "v": _poly_u_json(dec.v), "r": _poly_xy_json(dec.r), "R": _poly_xy_json(dec.R)})
     return 0
 
 
@@ -92,51 +79,29 @@ def _cmd_melnikov(args) -> int:
     case = get_case(args.case)
     with open(args.arc) as fh:
         data = json.load(fh)
-    arc = ParamArc.from_rows([[rat(c) for c in row] for row in data["lambda"]])
-    res = melnikov(arc, case, max_order=args.max_order)
+    res = melnikov(ParamArc.from_rows(data["lambda"]), case, max_order=args.max_order)
     if isinstance(res, AllVanishedReport):
-        _emit(
-            {
-                "case": case.name,
-                "all_vanished": True,
-                "max_order": res.max_order,
-                "arc_is_zero": res.arc_is_zero,
-            }
-        )
-        return 0
-    _emit(
-        {
-            "case": case.name,
-            "order": res.order,
-            "p": _poly_u_json(res.p),
-            "q": _poly_u_json(res.q),
-        }
-    )
+        _emit({"case": case.name, "all_vanished": True, "max_order": res.max_order,
+               "arc_is_zero": res.arc_is_zero})
+    else:
+        _emit({"case": case.name, "order": res.order, "p": _poly_u_json(res.p),
+               "q": _poly_u_json(res.q)})
     return 0
 
 
 def _cmd_bautin(args) -> int:
-    gens = bautin_generators(rat(args.a), rat(args.b))
-    _emit(
-        {
-            "a": rat_str(gens.a),
-            "b": rat_str(gens.b),
-            "generators": [str(g) for g in gens.generators],
-        }
-    )
+    gens = bautin_generators(args.a, args.b)
+    _emit({"a": rat_str(gens.a), "b": rat_str(gens.b), "generators": [str(g) for g in gens]})
     return 0
-
-
-def _parse_multipoly(nvars: int, terms) -> Poly:
-    return MultiPoly(nvars, {tuple(e): rat(c) for e, c in terms})
 
 
 def _cmd_nakayama(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
+    # each polynomial is a list of [exponents, coefficient] terms
     nv = int(data["nvars"])
-    b = [_parse_multipoly(nv, t) for t in data["b"]]
-    b0 = [_parse_multipoly(nv, t) for t in data["b0"]]
+    b, b0 = ([MultiPoly(nv, {tuple(e): c for e, c in terms}) for terms in data[key]]
+             for key in ("b", "b0"))
     try:
         cert = nakayama_certify(b, b0, args.cap)
     except MembershipError as exc:
@@ -145,10 +110,6 @@ def _cmd_nakayama(args) -> int:
     entries = [[str(e) for e in row] for row in cert.entries]
     _emit({"certified": True, "cap": cert.truncation_degree, "matrix": entries})
     return 0
-
-
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
 
 
 def _cmd_periods(args) -> int:
@@ -160,29 +121,18 @@ def _cmd_periods(args) -> int:
             pv = periods_real(case, float(h), args.tol)
             print(f"{float(h)!r},{pv.I0!r},{pv.I2!r},{pv.J0!r},{pv.J2!r}")
         return 0
-    h = _parse_complex(args.h)
+    h = args.h.value
     if h.imag == 0.0 and case.contains_h(h.real):
         pv = periods_real(case, h.real, args.tol)
     else:
         if case.name != "eight-exterior":
             raise ValueError(
-                f"h={args.h} is outside the {case.name} interval; complex "
+                f"h={args.h.text} is outside the {case.name} interval; complex "
                 "continuation is provided on the eight-exterior domain only"
             )
         pv = periods_complex(h, tol=args.tol)
-    _emit(
-        {
-            "case": case.name,
-            "h": [pv.h.real if isinstance(pv.h, complex) else float(pv.h),
-                  pv.h.imag if isinstance(pv.h, complex) else 0.0],
-            "I0": [complex(pv.I0).real, complex(pv.I0).imag],
-            "I2": [complex(pv.I2).real, complex(pv.I2).imag],
-            "J0": [complex(pv.J0).real, complex(pv.J0).imag],
-            "J2": [complex(pv.J2).real, complex(pv.J2).imag],
-            "branch": pv.branch_tag,
-            "est_error": pv.est_error,
-        }
-    )
+    _emit({"case": case.name, "branch": pv.branch_tag, "est_error": pv.est_error,
+           **{key: _complex_json(getattr(pv, key)) for key in ("h", "I0", "I2", "J0", "J2")}})
     return 0
 
 
@@ -194,11 +144,7 @@ PFCHECK_RESIDUAL_FACTOR = 1e4
 
 def _cmd_pfcheck(args) -> int:
     case = get_case(args.case)
-    hs = case_grid(case, args.grid)
-    worst = 0.0
-    for h in hs:
-        r1, r2 = pf_residual(case, float(h), args.tol)
-        worst = max(worst, r1, r2)
+    worst = max(max(pf_residual(case, float(h), args.tol)) for h in case_grid(case, args.grid))
     print(f"{case.name}: {args.grid} levels, max residual {worst:.3e}")
     return 0 if worst <= PFCHECK_RESIDUAL_FACTOR * args.tol else 1
 
@@ -222,46 +168,24 @@ def _cmd_zeros(args) -> int:
             print(f"{c},{hist[c]}")
         print(f"# uncertified={uncertified} of {args.random}")
         return 0
-    e = VElement.from_coeffs(_parse_coeff_list(args.p), _parse_coeff_list(args.q), case)
-    rep = count_zeros_real(e, grid=args.grid, tol=args.tol)
-    _emit(
-        {
-            "case": case.name,
-            "method": rep.method,
-            "count": rep.count,
-            "locations": [[h, m] for h, m in rep.locations],
-            "bound": rep.bound,
-            "certified": rep.certified,
-            "window": list(rep.window),
-            "notes": rep.notes,
-        }
-    )
+    rep = count_zeros_real(VElement.from_coeffs(args.p, args.q, case), grid=args.grid, tol=args.tol)
+    _emit({"case": case.name, **dataclasses.asdict(rep)})
     return 0
 
 
 def _cmd_argwind(args) -> int:
-    e = VElement.from_coeffs(
-        _parse_coeff_list(args.p), _parse_coeff_list(args.q), CASES["eight-exterior"], basis="J"
-    )
+    e = VElement.from_coeffs(args.p, args.q, CASES["eight-exterior"], basis="J")
     spec = ContourSpec(R=args.R, delta=args.delta)
     winding, estimate = winding_number_F(e, spec)
-    _emit(
-        {
-            "method": "argument-principle",
-            "winding": winding,
-            "zero_bound_estimate": estimate,
-            "R": spec.R,
-            "delta": spec.delta,
-            "note": "zeros within delta of the cut or beyond R are not counted",
-        }
-    )
+    _emit({"method": "argument-principle", "winding": winding, "zero_bound_estimate": estimate,
+           "R": spec.R, "delta": spec.delta,
+           "note": "zeros within delta of the cut or beyond R are not counted"})
     return 0
 
 
 def _cmd_simulate(args) -> int:
     case = get_case(args.case)
-    lam = tuple(float(c) for c in args.lam.split(","))
-    cfg = SimConfig(case=case, lam=lam, eps=args.eps)
+    cfg = SimConfig(case=case, lam=args.lam, eps=args.eps)
     if args.csv:
         samples = poincare_scan(cfg, np.linspace(*default_x_window(case), args.grid))
         print("x0,h,d,return_time")
@@ -272,29 +196,18 @@ def _cmd_simulate(args) -> int:
         print(f"skipped {escaped} of {len(samples)} start points (escaped)", file=sys.stderr)
         return 0
     cycles = find_limit_cycles(cfg, grid=args.grid)
-    _emit(
-        {
-            "case": case.name,
-            "eps": args.eps,
-            "cycles": [[h, s] for h, s in cycles],
-            "count": len(cycles),
-        }
-    )
+    _emit({"case": case.name, "eps": args.eps, "cycles": cycles, "count": len(cycles)})
     return 0
 
 
 def _cmd_validate_appendix(args) -> int:
-    from .forms import verify_decomposition
-
     entries = catalog.all_entries()
     ok = 0
     for entry in entries:
         ident_ok = verify_decomposition(entry.form, entry.decomposition, entry.case)
         dec = reduce_form(entry.form, entry.case)
         uv_ok = dec.u == entry.decomposition.u and dec.v == entry.decomposition.v
-        status = "ok" if (ident_ok and uv_ok) else "FAIL"
-        if status == "ok":
-            ok += 1
+        ok += ident_ok and uv_ok
         print(f"{entry.ident:16s} identity={'ok' if ident_ok else 'FAIL'} "
               f"reduce-uv={'ok' if uv_ok else 'FAIL'}")
     print(f"{ok}/{len(entries)} decompositions verified")
@@ -302,15 +215,10 @@ def _cmd_validate_appendix(args) -> int:
 
 
 def _cmd_validate_theorems(args) -> int:
-    from .melnikov import MelnikovResult
-
     failures = 0
-    for case_name in ("global-center", "truncated-pendulum", "eight-interior"):
-        case = get_case(case_name)
+    for case in SIGN_CASES:
         for j in range(1, 7):
-            coeffs = [0] * 6
-            coeffs[j - 1] = 1
-            res = melnikov(ParamArc.linear(coeffs), case, max_order=1)
+            res = melnikov(ParamArc.linear([int(i == j) for i in range(1, 7)]), case, max_order=1)
             ok = isinstance(res, MelnikovResult) and res.order == 1
             print(f"first-order {case.name} lambda_{j}: order "
                   f"{res.order if ok else '??'} {'ok' if ok else 'FAIL'}")
@@ -322,18 +230,17 @@ def _cmd_validate_theorems(args) -> int:
             res = melnikov(arc, case)
             ok = isinstance(res, MelnikovResult) and res.order == 3
             if ok:
-                base = melnikov(
-                    ParamArc.linear([0, sgn_2, 1, sgn_4, 0, 0]), case
-                )
-                ok = res.p == base.p.scale(Fraction(c) ** 3) and res.q == base.q.scale(
-                    Fraction(c) ** 3
-                )
+                base = melnikov(ParamArc.linear([0, sgn_2, 1, sgn_4, 0, 0]), case)
+                ok = (res.p, res.q) == (base.p.scale(c**3), base.q.scale(c**3))
             print(f"cubic {case.name} c={c}: {'ok' if ok else 'FAIL'}")
             failures += 0 if ok else 1
     print("all theorem fixtures verified" if failures == 0 else f"{failures} failures")
     return 0 if failures == 0 else 1
 
 
+# --------------------------------------------------------------------------
+# argparse types: each flag's text is parsed and checked here, once, so that
+# argparse names the flag when a value is rejected and no handler parses text
 # --------------------------------------------------------------------------
 
 
@@ -345,29 +252,87 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a real parameter: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _finite_floats(text: str) -> tuple[float, ...]:
+    """argparse type of --lambda: comma-separated finite floats."""
+    return tuple(_finite_float(tok) for tok in text.split(","))
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of an exact coefficient ('1/3', '-2', '0.25') within float range."""
+    try:
+        c = rat(text)
+        if math.isfinite(float(c)):
+            return c
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected a rational such as 1/3, -2 or 0.25, got {text!r}")
+
+
+def _rationals(text: str) -> list[Fraction]:
+    """argparse type of a coefficient list: comma-separated rationals, maybe none."""
+    return [_rational(tok) for tok in text.split(",")] if text.strip() else []
+
+
+class _Parsed(NamedTuple):
+    """A flag's value beside the stripped text it was parsed from."""
+
+    text: str
+    value: object
+
+
+def _form(text: str) -> _Parsed:
+    """argparse type of --form: a monomial one-form, kept with its text."""
+    try:
+        return _Parsed(text.strip(), parse_monomial_form(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _level(text: str) -> _Parsed:
+    """argparse type of --h: a finite real or complex level ('0.5', '1+0.5j' or '1+0.5i')."""
+    try:
+        h = complex(text.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        h = complex(math.nan)
+    if not (math.isfinite(h.real) and math.isfinite(h.imag)):
+        raise argparse.ArgumentTypeError(f"expected a finite real or complex level, got {text!r}")
+    return _Parsed(text.strip(), h)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="raylien",
         description="Limit-cycle toolkit for the perturbed Rayleigh-Lienard oscillator",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    case_names = sorted(CASES)
+    on_case = argparse.ArgumentParser(add_help=False)
+    on_case.add_argument("--case", required=True, choices=sorted(CASES))
 
-    p = sub.add_parser("reduce", help="canonical decomposition of a monomial one-form")
-    p.add_argument("--case", required=True, choices=case_names)
-    p.add_argument("--form", required=True, help="monomial, e.g. 'y^3 dx'")
+    p = sub.add_parser("reduce", parents=[on_case],
+                       help="canonical decomposition of a monomial one-form")
+    p.add_argument("--form", required=True, type=_form, help="monomial, e.g. 'y^3 dx'")
     p.add_argument("--method", default="rewrite", choices=("rewrite", "ansatz"))
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("melnikov", help="first nonvanishing order along an arc")
-    p.add_argument("--case", required=True, choices=case_names)
+    p = sub.add_parser("melnikov", parents=[on_case], help="first nonvanishing order along an arc")
     p.add_argument("--arc", required=True, help="JSON file {'lambda': [6 rows of coefficients]}")
     p.add_argument("--max-order", type=int, default=9, dest="max_order")
     p.set_defaults(func=_cmd_melnikov)
 
     p = sub.add_parser("bautin", help="ideal generators for the sign case (a, b)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", required=True, type=_rational)
+    p.add_argument("--b", required=True, type=_rational)
     p.set_defaults(func=_cmd_bautin)
 
     p = sub.add_parser("nakayama", help="certify equality of local ideals")
@@ -375,44 +340,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=12)
     p.set_defaults(func=_cmd_nakayama)
 
-    p = sub.add_parser("periods", help="period values at one level or on a grid")
-    p.add_argument("--case", required=True, choices=case_names)
+    p = sub.add_parser("periods", parents=[on_case], help="period values at one level or on a grid")
     level = p.add_mutually_exclusive_group(required=True)
-    level.add_argument("--h", help="real or complex level, e.g. 0.5 or '1+0.5j'")
+    level.add_argument("--h", type=_level, help="real or complex level, e.g. 0.5 or '1+0.5j'")
     level.add_argument("--grid", type=_positive_int, help="emit CSV on a probe grid of this size")
-    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy, >= 1e-14: "
+    p.add_argument("--tol", type=_finite_float, default=1e-12, help="relative accuracy, >= 1e-14: "
                    "the most a closed form's rounding bound may be, else an error")
     p.set_defaults(func=_cmd_periods)
 
-    p = sub.add_parser("pfcheck", help="Picard-Fuchs residuals on a grid")
-    p.add_argument("--case", required=True, choices=case_names)
+    p = sub.add_parser("pfcheck", parents=[on_case], help="Picard-Fuchs residuals on a grid")
     p.add_argument("--grid", type=_positive_int, default=50)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
-                   f">= 1e-14; passes if no residual is above {PFCHECK_RESIDUAL_FACTOR:g} * tol")
+    p.add_argument("--tol", type=_finite_float, default=1e-12, help="relative accuracy of the "
+                   "periods, >= 1e-14; passes if no residual is above "
+                   f"{PFCHECK_RESIDUAL_FACTOR:g} * tol")
     p.set_defaults(func=_cmd_pfcheck)
 
-    p = sub.add_parser("zeros", help="zero count of p(h) I2 + q(h) I0")
-    p.add_argument("--case", required=True, choices=case_names)
-    p.add_argument("--p", default="", help="comma-separated coefficients c0,c1,c2")
-    p.add_argument("--q", default="", help="comma-separated coefficients c0,c1,c2")
+    p = sub.add_parser("zeros", parents=[on_case], help="zero count of p(h) I2 + q(h) I0")
+    p.add_argument("--p", type=_rationals, default="", help="comma-separated coefficients c0,c1,c2")
+    p.add_argument("--q", type=_rationals, default="", help="comma-separated coefficients c0,c1,c2")
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative accuracy of the periods, "
-                   ">= 1e-14; also the level, relative to the terms, under which a dip is probed")
+    p.add_argument("--tol", type=_finite_float, default=1e-12, help="relative accuracy of the "
+                   "periods, >= 1e-14; also the level, relative to the terms, under which a "
+                   "dip is probed")
     p.add_argument("--random", type=_positive_int, default=0, help="batch: count N random elements")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("argwind", help="argument-principle winding on the cut plane")
-    p.add_argument("--p", default="", help="ptilde coefficients c0,c1,c2")
-    p.add_argument("--q", default="", help="qtilde coefficients c0,c1,c2")
-    p.add_argument("--R", type=float, default=1e3)
-    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--p", type=_rationals, default="", help="ptilde coefficients c0,c1,c2")
+    p.add_argument("--q", type=_rationals, default="", help="qtilde coefficients c0,c1,c2")
+    p.add_argument("--R", type=_finite_float, default=1e3)
+    p.add_argument("--delta", type=_finite_float, default=1e-3)
     p.set_defaults(func=_cmd_argwind)
 
-    p = sub.add_parser("simulate", help="Poincare displacement scan / limit cycles")
-    p.add_argument("--case", required=True, choices=case_names)
-    p.add_argument("--lambda", required=True, dest="lam", help="6 comma-separated floats")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p = sub.add_parser("simulate", parents=[on_case],
+                       help="Poincare displacement scan / limit cycles")
+    p.add_argument("--lambda", required=True, type=_finite_floats, dest="lam",
+                   help="6 comma-separated floats")
+    p.add_argument("--eps", type=_finite_float, default=1e-3)
     p.add_argument("--grid", type=_positive_int, default=200)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_simulate)

@@ -146,8 +146,8 @@ def periods_real(case: AnnulusCase, h: float, tol: float = 1e-12) -> PeriodValue
     [0, 1/2].  Multiplying T, Z by k^2 and the constants adds 2 d_in + 5u.  A bound above ``tol`` raises
     QuadratureError.
     """
-    if tol < 1e-14:
-        raise ValueError("tol must be >= 1e-14")
+    if not 1e-14 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be finite and >= 1e-14, got {tol}")
     sq, beta, other = _level_roots(case, h)
     b, f = case.ab_float[1], case.fold
     gap = 2.0 * sq / abs(b)
@@ -297,8 +297,8 @@ def periods_complex(h: complex, tol: float = 1e-12) -> PeriodValue:
         raise ValueError("h on the cut (-inf, 0]")
     if slit_dist < _CUT_CLEARANCE:
         raise ValueError(f"h={h} within {_CUT_CLEARANCE} of the cut")
-    if tol < 1e-14:
-        raise ValueError("tol must be >= 1e-14")
+    if not 1e-14 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be finite and >= 1e-14, got {tol}")
     J0, J2, err_J = cut_plane_J(h)
     a, b = EIGHT_EXTERIOR.ab_float
     u1, v1, u2, v2 = _pf_terms(EIGHT_EXTERIOR.ab_float, h, J0, J2)

@@ -88,6 +88,13 @@ class SimConfig:
     def __post_init__(self):
         if len(self.lam) != 6:
             raise ValueError("lam must have 6 entries")
+        # a nan in the state gives DOP853 a nan first step, and its step loop never ends
+        if not all(math.isfinite(c) for c in self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError(f"max_time must be finite and positive, got {self.max_time}")
         object.__setattr__(self, "a", float(self.case.a))
         object.__setattr__(self, "b", float(self.case.b))
 

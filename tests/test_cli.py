@@ -1,6 +1,8 @@
 """CLI dispatch, schemas, and reproducibility."""
 
+import ast
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 
@@ -29,6 +31,9 @@ def test_parse_monomial_forms():
         PolyXY.monomial(2, 5, "3/7")
     )
     assert parse_monomial_form("x dx") == OneForm(PolyXY.monomial(1, 0))
+    assert parse_monomial_form("x y dx") == OneForm(PolyXY.monomial(1, 1))
+    assert parse_monomial_form("2 ydx") == OneForm(PolyXY.monomial(0, 1, 2))
+    assert parse_monomial_form("dx") == OneForm(PolyXY.monomial(0, 0))
     with pytest.raises(ValueError):
         parse_monomial_form("z^2 dx")
 
@@ -412,7 +417,66 @@ def test_validate_theorems(capsys):
     assert "all theorem fixtures verified" in out
 
 
+# (subcommand and other flags, flag, value template): every flag that takes a
+# number or a list of numbers
+VALUE_FLAGS = [
+    (["simulate", "--case", "global-center", "--lambda", "1,-1,0,0,0,0", "--grid", "5", "--csv"],
+     "--eps", "{}"),
+    (["periods", "--case", "global-center", "--h", "1"], "--tol", "{}"),
+    (["pfcheck", "--case", "global-center"], "--tol", "{}"),
+    (["zeros", "--case", "global-center", "--q=-2,3,-1"], "--tol", "{}"),
+    (["argwind", "--q=1"], "--R", "{}"),
+    (["argwind", "--q=1"], "--delta", "{}"),
+    (["periods", "--case", "eight-exterior"], "--h", "{}"),
+    (["simulate", "--case", "global-center", "--grid", "5"], "--lambda", "1,{},0,0,0,0"),
+    (["zeros", "--case", "global-center", "--q=1"], "--p", "1,{}"),
+    (["zeros", "--case", "global-center", "--p=1"], "--q", "{}"),
+    (["argwind", "--q=1"], "--p", "{},1"),
+    (["argwind", "--p=1"], "--q", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "junk"])
+@pytest.mark.parametrize("argv, flag, template", VALUE_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in VALUE_FLAGS])
+def test_non_finite_and_junk_values_are_rejected_when_parsed(argv, flag, template, value,
+                                                             capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected value")
+
+    # a nan that reached the stacked scan would hang it
+    for name in ("poincare_scan", "find_limit_cycles", "count_zeros_real", "winding_number_F"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        dispatch([*argv, f"{flag}={template.format(value)}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a" in capsys.readouterr().err
+
+
+def test_periods_levels_take_i_or_j(capsys):
+    _, with_j, _ = run(capsys, "periods", "--case", "eight-exterior", "--h", "1+0.5j")
+    _, with_i, _ = run(capsys, "periods", "--case", "eight-exterior", "--h", "1 + 0.5i")
+    assert with_i == with_j
+    assert json.loads(with_j)["h"] == [1.0, 0.5]
+
+
+def test_handlers_parse_no_text():
+    # every flag's text is parsed by its argparse type; handlers only use values
+    tree = ast.parse(inspect.getsource(cli))
+    handlers = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) == 11
+    for f in handlers:
+        for node in ast.walk(f):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                assert name not in ("split", "complex", "rat", "parse_monomial_form"), f.name
+                assert not name.startswith("_parse"), (f.name, name)
+
+
 def test_unknown_case_is_usage_error(capsys):
     code, _, err = run(capsys, "periods", "--case", "global-center", "--h", "-5")
     assert code == 2
     assert "error" in err
+    # the level is named as written
+    assert err.startswith("error: h=-5 is outside the global-center interval")

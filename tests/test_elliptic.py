@@ -263,6 +263,17 @@ def test_rounding_bound_above_tol_raises():
         periods_real(EIGHT_INTERIOR, pv.h, 1e-15)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_a_non_finite_tol_is_rejected(tol):
+    # a nan or inf tol would pass every `est > tol` rounding check unseen
+    with pytest.raises(ValueError, match="tol must be finite"):
+        periods_real(GLOBAL_CENTER, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        periods_complex(1 + 0.5j, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        vanishing_cycle_periods(-0.2, tol=tol)
+
+
 def test_finite_difference_oracle_for_J():
     """J = dI/dh by central differences, all four cases (non-PF oracle)."""
     for case_name, h in (

@@ -57,6 +57,24 @@ def test_section_validation():
         poincare_return(cfg_tp, 1.5)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("eps", {"eps": math.nan}),
+    ("eps", {"eps": -math.inf}),
+    ("lam", {"lam": (1, math.nan, 0, 0, 0, 0)}),
+    ("lam", {"lam": (math.inf, 0, 0, 0, 0, 0)}),
+    ("max_time", {"max_time": math.nan}),
+    ("max_time", {"max_time": math.inf}),
+    ("max_time", {"max_time": 0.0}),
+    ("max_time", {"max_time": -1.0}),
+])
+def test_sim_config_rejects_non_finite_values(field, kwargs):
+    # a nan in the state gives DOP853 a nan first step, and its step loop
+    # never ends: the config refuses it before any scan starts
+    args = {"case": GLOBAL_CENTER, "lam": (1, -1, 0, 0, 0, 0), "eps": 1e-2, **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SimConfig(**args)
+
+
 def test_escape_near_separatrix():
     # outside the pendulum's oval region the orbit never returns
     cfg = SimConfig(TRUNCATED_PENDULUM, (0,) * 6, 0.0, max_time=30.0)

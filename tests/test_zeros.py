@@ -91,6 +91,14 @@ def test_brent_refinement_work_per_zero(monkeypatch):
         count_zeros_real(ve([], [-2, 3, -1], GLOBAL_CENTER), refine_tol=1e-4)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_a_non_finite_tol_does_not_certify(tol):
+    # with tol = nan or inf no rounding check or tangency probe would fire
+    e = VElement.from_coeffs([], [-2, 3, -1], GLOBAL_CENTER)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        count_zeros_real(e, tol=tol)
+
+
 def test_locations_inside_window():
     rep = count_zeros_real(ve([], [-2, 3, -1], EIGHT_INTERIOR))
     for h, _ in rep.locations:
