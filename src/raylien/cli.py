@@ -58,6 +58,14 @@ def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _file_rational(value, path: str) -> Fraction:
+    """A coefficient read from the JSON file ``path``: an int or a 'num/den' string."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{path}: not an exact rational: {value!r}") from None
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -79,7 +87,12 @@ def _cmd_melnikov(args) -> int:
     case = get_case(args.case)
     with open(args.arc) as fh:
         data = json.load(fh)
-    res = melnikov(ParamArc.from_rows(data["lambda"]), case, max_order=args.max_order)
+    rows = []
+    for row in data["lambda"]:
+        if not isinstance(row, list):
+            raise ValueError(f"{args.arc}: each lambda row must be a list, got {row!r}")
+        rows.append([_file_rational(c, args.arc) for c in row])
+    res = melnikov(ParamArc.from_rows(rows), case, max_order=args.max_order)
     if isinstance(res, AllVanishedReport):
         _emit({"case": case.name, "all_vanished": True, "max_order": res.max_order,
                "arc_is_zero": res.arc_is_zero})
@@ -100,7 +113,8 @@ def _cmd_nakayama(args) -> int:
         data = json.load(fh)
     # each polynomial is a list of [exponents, coefficient] terms
     nv = int(data["nvars"])
-    b, b0 = ([MultiPoly(nv, {tuple(e): c for e, c in terms}) for terms in data[key]]
+    b, b0 = ([MultiPoly(nv, {tuple(e): _file_rational(c, args.input) for e, c in terms})
+              for terms in data[key]]
              for key in ("b", "b0"))
     try:
         cert = nakayama_certify(b, b0, args.cap)

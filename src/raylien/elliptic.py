@@ -25,6 +25,10 @@ For the eight loop the module also provides
   Wronskians;
 * the vanishing-cycle periods, by the complex scaling y = iY that maps the
   eight's level curve at h to the truncated pendulum's real oval at -h.
+
+scipy.special is loaded on first use, not on import: the first
+:func:`periods_real` binds the compiled scalar ``elliprd`` and ``hyp2f1``,
+and :func:`cut_plane_J` imports the array ``elliprd`` at each call.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
-from scipy.special.cython_special import elliprd, hyp2f1
 
 from .forms import EIGHT_EXTERIOR, EIGHT_INTERIOR, TRUNCATED_PENDULUM, AnnulusCase
 
@@ -107,6 +109,28 @@ _D_IN = 5.0 * _U  # alpha, k, A, B
 _D_C = 16.0 * _U + 2.5 * _D_IN + 2.0 * _U  # c and s^; elliprd within 16u
 _D_J = _D_C + _D_IN + 5.0 * _U
 _D_SERIES = 32.0 * _U + 1.7 * _D_IN + 5.0 * _U  # T, Z; hyp2f1 within 32u
+
+
+# periods_real calls scipy's compiled scalar elliprd and hyp2f1 through these
+# module globals.  Until the first call they are stubs that load
+# scipy.special, bind its compiled functions in their place and call them,
+# so the hot path has no import statement and no test, and a process that
+# never takes a period never loads scipy.
+def _bind_cython_special():
+    global elliprd, hyp2f1
+    from scipy.special import cython_special
+
+    elliprd, hyp2f1 = cython_special.elliprd, cython_special.hyp2f1
+
+
+def elliprd(x, y, z):
+    _bind_cython_special()
+    return elliprd(x, y, z)
+
+
+def hyp2f1(a, b, c, z):
+    _bind_cython_special()
+    return hyp2f1(a, b, c, z)
 
 
 def periods_real(case: AnnulusCase, h: float, tol: float = 1e-12) -> PeriodValue:
@@ -267,6 +291,8 @@ def cut_plane_J(h):
     kappa _D_CPX + 6u with kappa = (|c| + |s^|)/|c + s^|, computed per level,
     and c, s^ within _D_CPX (k and the products add at most 6u).
     """
+    from scipy import special
+
     h = np.asarray(h, dtype=complex)
     sq = np.sqrt(1.0 + 4.0 * h)
     A = 4.0 * h / (1.0 + sq)

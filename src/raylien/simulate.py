@@ -22,6 +22,11 @@ displacement locate limit cycles, each refined by Brent's method
 (scipy.optimize.brentq) on single returns; their positions and count are
 cross-validated against the zeros of the predicted leading-order
 coefficient p(h) I2(h) + q(h) I0(h).
+
+scipy is loaded on first use, not on import: scipy.integrate by the first
+single return, which builds the process's compiled integrators, or by the
+first scan; scipy.optimize by the first sign change that
+:func:`find_limit_cycles` refines.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import DOP853, ode
-from scipy.optimize import brentq
 
 from .elliptic import oval_geometry, periods_real
 from .forms import AnnulusCase
@@ -178,6 +181,8 @@ class _CompiledReturn:
     """
 
     def __init__(self):
+        from scipy.integrate import ode
+
         self.f = self.error = self.cfg = None
         self.lock = threading.Lock()
         self.flow = ode(self._flow).set_integrator(
@@ -263,7 +268,17 @@ class _CompiledReturn:
                 self.cfg = self.f = self.error = None
 
 
-_compiled_return = _CompiledReturn()
+_build_lock = threading.Lock()
+
+
+def _compiled_return(cfg: SimConfig, x0: float) -> tuple[float, float]:
+    """The first single return builds the process's _CompiledReturn and binds
+    this name to it, under a lock, so returns that start together build one."""
+    global _compiled_return
+    with _build_lock:
+        if not isinstance(_compiled_return, _CompiledReturn):
+            _compiled_return = _CompiledReturn()
+    return _compiled_return(cfg, x0)
 
 
 def poincare_return(cfg: SimConfig, x0: float) -> DisplacementSample:
@@ -402,6 +417,8 @@ def poincare_scan(cfg: SimConfig, xs) -> list[DisplacementSample | None]:
     def start(tau, state, step=None):
         # DOP853 in tau on the live orbits: the flow times each orbit's
         # clock, up to where the fastest clock passes max_time
+        from scipy.integrate import DOP853
+
         scale = np.tile(clocks[live], 3)
         bound = cfg.max_time / clocks[live].min()
         return DOP853(lambda t, s: f(t, s) * scale, tau, state, bound, rtol=cfg.rtol,
@@ -486,6 +503,8 @@ def find_limit_cycles(
         if abs(s0.d) < floor0 and abs(s1.d) < floor1:
             continue
         if (s0.d > 0) != (s1.d > 0):
+            from scipy.optimize import brentq
+
             a, b = float(xs[i]), float(xs[i + 1])
             xtol = _XTOL_REL * max(1.0, abs(b))
 

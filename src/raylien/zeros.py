@@ -23,6 +23,10 @@ samples is the table's built-in check.  The table caches h and J2/J0 there,
 so an element's F is one array evaluation per piece; only phase steps of
 pi/4 or more are refined, by bisection with the closed form at the
 midpoints.
+
+scipy is loaded on first use, not on import: scipy.special by the first
+period (see :mod:`raylien.elliptic`) and scipy.optimize by the first sign
+flip that Brent's method refines.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import cut_plane_J, periods_real, pf_J_prime
 from .exactalg import Poly, PolyU
@@ -234,6 +237,8 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     for k in np.flatnonzero(flips | (right > left + 1)):
         i, j = int(left[k]), int(right[k])
         if flips[k]:
+            from scipy.optimize import brentq
+
             a, b = float(hs[i]), float(hs[j])
             xtol = _XTOL_REL * max(1.0, abs(a), abs(b))
 

@@ -185,6 +185,27 @@ def test_nakayama_rejects_a_negative_cap(tmp_path, capsys):
     assert "degree_cap must be >= 0, got -2" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0.5], ["0"], ["0"], ["0"], ["0"], ["1"]], "not an exact rational: 0.5"),
+    ([["0"], 1, ["0"], ["0"], ["0"], ["1"]], "each lambda row must be a list, got 1"),
+])
+def test_melnikov_rejects_an_inexact_arc_file(tmp_path, capsys, rows, message):
+    arc = tmp_path / "arc.json"
+    arc.write_text(json.dumps({"lambda": rows}))
+    code, out, err = run(capsys, "melnikov", "--case", "global-center", "--arc", str(arc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {arc}: {message}\n"
+
+
+def test_nakayama_rejects_a_float_coefficient(tmp_path, capsys):
+    payload = {"nvars": 1, "b": [[[[1], 0.5]]], "b0": [[[[1], "1"]]]}
+    f = tmp_path / "naka.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "nakayama", "--input", str(f), "--cap", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: not an exact rational: 0.5\n"
+
+
 def test_periods_subcommand_real(capsys):
     code, out, _ = run(capsys, "periods", "--case", "global-center",
                        "--h", "1.0")
