@@ -66,6 +66,26 @@ def _file_rational(value, path: str) -> Fraction:
         raise ValueError(f"{path}: not an exact rational: {value!r}") from None
 
 
+def _file_polys(data: dict, key: str, nvars: int, path: str) -> list[Poly]:
+    """data[key] from the JSON file ``path``: a list of polynomials in nvars
+    variables, each a list of [exponents, coefficient] terms."""
+    polys = data.get(key)
+    if not isinstance(polys, list):
+        raise ValueError(f"{path}: {key!r} must be a list of polynomials, got {polys!r}")
+    out = []
+    for terms in polys:
+        if not (isinstance(terms, list) and all(
+                isinstance(t, list) and len(t) == 2 and isinstance(t[0], list) for t in terms)):
+            raise ValueError(f"{path}: each polynomial in {key!r} must be a list of "
+                             f"[exponents, coefficient] terms, got {terms!r}")
+        coeffs = {tuple(e): _file_rational(c, path) for e, c in terms}
+        try:
+            out.append(MultiPoly(nvars, coeffs))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return out
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -87,6 +107,9 @@ def _cmd_melnikov(args) -> int:
     case = get_case(args.case)
     with open(args.arc) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("lambda"), list)
+            and len(data["lambda"]) == 6):
+        raise ValueError(f"{args.arc}: expected an object {{'lambda': [6 rows of coefficients]}}")
     rows = []
     for row in data["lambda"]:
         if not isinstance(row, list):
@@ -111,11 +134,12 @@ def _cmd_bautin(args) -> int:
 def _cmd_nakayama(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
-    # each polynomial is a list of [exponents, coefficient] terms
-    nv = int(data["nvars"])
-    b, b0 = ([MultiPoly(nv, {tuple(e): _file_rational(c, args.input) for e, c in terms})
-              for terms in data[key]]
-             for key in ("b", "b0"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.input}: expected an object {{'nvars', 'b', 'b0'}}")
+    nv = data.get("nvars")
+    if type(nv) is not int or nv < 1:
+        raise ValueError(f"{args.input}: 'nvars' must be a positive integer, got {nv!r}")
+    b, b0 = (_file_polys(data, key, nv, args.input) for key in ("b", "b0"))
     try:
         cert = nakayama_certify(b, b0, args.cap)
     except MembershipError as exc:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -107,8 +107,9 @@ class Poly:
     ``vars`` names the variables; exponent tuples have one entry per name.
     ``num`` maps exponent tuples to nonzero int numerators over the
     positive int ``den``, and den shares no factor with all of them, so
-    ``==`` and ``hash`` compare representations.  Coefficients are
-    validated here, once; arithmetic runs on the numerators.
+    ``==`` and ``hash`` compare representations.  Exponents (non-negative
+    integers) and coefficients are validated here, once; arithmetic runs on
+    the numerators.
     """
 
     __slots__ = ("num", "den", "vars")
@@ -119,7 +120,10 @@ class Poly:
         vars = tuple(vars)
         data = {}
         for e, c in (coeffs or {}).items():
-            e = tuple(int(k) for k in e)
+            try:
+                e = tuple(map(index, e))
+            except TypeError:
+                raise ValueError(f"exponents must be integers, got {e!r} for variables {vars}") from None
             if len(e) != len(vars) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for variables {vars}")
             c = rat(c)

@@ -18,15 +18,15 @@ integrated on its own by scipy's compiled DOP853 (Hairer's dop853 through
 Henon, Physica D 5 (1982) 412-414): from the end of the step that crosses
 y = 0, (x, t) are integrated with y as the independent variable to y = 0.
 Its displacement is d = H(return) - H(start).  Sign changes of the scanned
-displacement locate limit cycles, each refined by Brent's method
-(scipy.optimize.brentq) on single returns; their positions and count are
-cross-validated against the zeros of the predicted leading-order
-coefficient p(h) I2(h) + q(h) I0(h).
+displacement locate limit cycles, each refined by Brent's method (the
+package's port of scipy's brentq in :mod:`raylien.zeros`) on single
+returns; their positions and count are cross-validated against the zeros
+of the predicted leading-order coefficient p(h) I2(h) + q(h) I0(h).
 
 scipy is loaded on first use, not on import: scipy.integrate by the first
 single return, which builds the process's compiled integrators, or by the
-first scan; scipy.optimize by the first sign change that
-:func:`find_limit_cycles` refines.
+first scan.  scipy.integrate imports scipy.optimize itself; this module
+does not use it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .elliptic import oval_geometry, periods_real
 from .forms import AnnulusCase
+from .zeros import _brent
 
 __all__ = [
     "SimConfig",
@@ -479,9 +480,10 @@ def find_limit_cycles(
     The section window defaults to :func:`default_x_window`; pass x_window
     to focus the scan.  The grid of start points is sampled by one
     :func:`poincare_scan`.  Each sign change is refined by Brent's method
-    on :func:`poincare_return` to a relative width of 1e-9 in x (or, if a
-    probe inside it escapes, taken at its midpoint); the bracket ends reuse
-    the scanned displacements.  Stability follows the sign pattern of d:
+    (the package's port of scipy's ``brentq``) on :func:`poincare_return`
+    to a relative width of 1e-9 in x (or, if a probe inside it escapes,
+    taken at its midpoint); the bracket ends reuse the scanned
+    displacements.  Stability follows the sign pattern of d:
     + to - with increasing h is attracting.  Sign changes whose endpoints
     both sit below the integrator noise floor are discarded (a cycle whose
     displacement never rises above the energy drift is not resolvable).
@@ -503,21 +505,10 @@ def find_limit_cycles(
         if abs(s0.d) < floor0 and abs(s1.d) < floor1:
             continue
         if (s0.d > 0) != (s1.d > 0):
-            from scipy.optimize import brentq
-
             a, b = float(xs[i]), float(xs[i + 1])
             xtol = _XTOL_REL * max(1.0, abs(b))
-
-            def displacement(x, a=a, b=b, da=s0.d, db=s1.d):
-                # brentq evaluates both ends first: they are already scanned
-                if x == a:
-                    return da
-                if x == b:
-                    return db
-                return poincare_return(cfg, x).d
-
             try:
-                x_star = brentq(displacement, a, b, xtol=xtol)
+                x_star = _brent(lambda x: poincare_return(cfg, x).d, a, b, s0.d, s1.d, xtol)
             except EscapeError:
                 # a probe inside the bracket escaped: fall back to its midpoint
                 x_star = 0.5 * (a + b)

@@ -24,9 +24,10 @@ so an element's F is one array evaluation per piece; only phase steps of
 pi/4 or more are refined, by bisection with the closed form at the
 midpoints.
 
-scipy is loaded on first use, not on import: scipy.special by the first
-period (see :mod:`raylien.elliptic`) and scipy.optimize by the first sign
-flip that Brent's method refines.
+Sign flips are refined by :func:`_brent`, the package's port of scipy's
+``brentq``, so the real scan needs no scipy.optimize.  scipy is loaded on
+first use, not on import: scipy.special by the first period (see
+:mod:`raylien.elliptic`); the scan and the winding load nothing else.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -175,6 +177,79 @@ def _element_values(e: VElement, hs: np.ndarray, b0: np.ndarray, b2: np.ndarray)
 # relative width in h to which Brent's method refines a sign change
 _XTOL_REL = 1e-10
 
+# the relative part of Brent's stopping width, as scipy's brentq has it
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+
+
+def _brent_checked(x: float, fx) -> float:
+    """fx as a float; NaN raises ValueError naming x, as in scipy's brentq."""
+    fx = float(fx)
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, maxiter: int = 100) -> float:
+    """A zero of f between a and b by Brent's method, from fa = f(a) and fb = f(b).
+
+    A line-for-line port of scipy's ``brentq`` (its ``brentq.c``, after R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4):
+    the same iterates and result, with rtol = 4 eps, so the bracket is
+    refined to a width of about xtol + 4 eps |x|.  The ends are not
+    evaluated again.  Raises ValueError when fa and fb are nonzero with the
+    same sign or a value is NaN, and RuntimeError when maxiter iterations
+    do not converge; an exception raised by f propagates.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _brent_checked(a, fa), _brent_checked(b, fb)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # where C divides by zero (an underflow or equal values), its
+                # infinite or NaN step fails the test below, as math.inf does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_checked(xcur, f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
 
 def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroReport:
     """Sign-change scan with Brent refinement and tangency probing.
@@ -183,10 +258,11 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     ([1e-8, 1e8] on unbounded annuli); zeros outside it are not seen.
     A node is reliable when its value is above the rounding noise floor.
     Between consecutive reliable nodes, a sign flip is a zero, refined by
-    ``scipy.optimize.brentq`` on the element's value at the scan tolerance
-    ``tol`` to a relative width of 1e-10 (the bracket ends reuse the
-    scanned values); equal signs across a sub-noise run go to the tangency
-    probe.  A reliable node whose value dips under the ``tol`` noise level
+    Brent's method (:func:`_brent`, scipy's ``brentq`` iterates without
+    scipy.optimize) on the element's value at the scan tolerance ``tol`` to
+    a relative width of 1e-10 (the bracket ends reuse the scanned values);
+    equal signs across a sub-noise run go to the tangency probe.  A
+    reliable node whose value dips under the ``tol`` noise level
     between reliable neighbours of the same sign is probed too.  The nodes
     are classified in array passes; only those pairs and dips are visited
     one by one, each kind in node order: flips, then runs, then dips.
@@ -237,21 +313,11 @@ def count_zeros_real(e: VElement, grid: int = 200, tol: float = 1e-12) -> ZeroRe
     for k in np.flatnonzero(flips | (right > left + 1)):
         i, j = int(left[k]), int(right[k])
         if flips[k]:
-            from scipy.optimize import brentq
-
             a, b = float(hs[i]), float(hs[j])
             xtol = _XTOL_REL * max(1.0, abs(a), abs(b))
-
-            def value(h, a=a, b=b, va=float(vals[i]), vb=float(vals[j])):
-                # brentq evaluates both ends first: they are scanned nodes,
-                # reliable, so eval_V there has the same sign
-                if h == a:
-                    return va
-                if h == b:
-                    return vb
-                return eval_V(e, h, tol)
-
-            locations.append((brentq(value, a, b, xtol=xtol), 1))
+            # eval_V is looked up per call, so a wrapped eval_V sees each iterate
+            z = _brent(lambda h: eval_V(e, h, tol), a, b, float(vals[i]), float(vals[j]), xtol)
+            locations.append((z, 1))
         else:
             probes.append((i, j, (i + j) // 2))
 

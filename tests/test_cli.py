@@ -206,6 +206,47 @@ def test_nakayama_rejects_a_float_coefficient(tmp_path, capsys):
     assert err == f"error: {f}: not an exact rational: 0.5\n"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1], "expected an object {'lambda': [6 rows of coefficients]}"),
+    ({"arc": []}, "expected an object {'lambda': [6 rows of coefficients]}"),
+    ({"lambda": "0"}, "expected an object {'lambda': [6 rows of coefficients]}"),
+    ({"lambda": [["1"]]}, "expected an object {'lambda': [6 rows of coefficients]}"),
+], ids=["list", "no-lambda", "lambda-string", "one-row"])
+def test_melnikov_rejects_a_misshapen_arc_file(tmp_path, capsys, payload, message):
+    arc = tmp_path / "arc.json"
+    arc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "melnikov", "--case", "global-center", "--arc", str(arc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {arc}: {message}\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1], "expected an object {'nvars', 'b', 'b0'}"),
+    ({"nvars": "2", "b": [], "b0": []}, "'nvars' must be a positive integer, got '2'"),
+    ({"nvars": 2.5, "b": [], "b0": []}, "'nvars' must be a positive integer, got 2.5"),
+    ({"nvars": 0, "b": [], "b0": []}, "'nvars' must be a positive integer, got 0"),
+    ({"nvars": 1, "b0": []}, "'b' must be a list of polynomials, got None"),
+    ({"nvars": 1, "b": [], "b0": 3}, "'b0' must be a list of polynomials, got 3"),
+    ({"nvars": 1, "b": [1], "b0": []},
+     "each polynomial in 'b' must be a list of [exponents, coefficient] terms, got 1"),
+    ({"nvars": 1, "b": [[[1, "1"]]], "b0": []},
+     "each polynomial in 'b' must be a list of [exponents, coefficient] terms, got [[1, '1']]"),
+    ({"nvars": 1, "b": [[[[1]]]], "b0": []},
+     "each polynomial in 'b' must be a list of [exponents, coefficient] terms, got [[[1]]]"),
+    ({"nvars": 2, "b": [[[[0.5, 0], "1"]]], "b0": [[[[1, 0], "1"]]]},
+     "exponents must be integers, got (0.5, 0) for variables ('l1', 'l2')"),
+    ({"nvars": 2, "b": [[[[1], "1"]]], "b0": []},
+     "bad exponent tuple (1,) for variables ('l1', 'l2')"),
+], ids=["list", "nvars-string", "nvars-float", "nvars-zero", "no-b", "b0-int", "b-int-poly",
+        "term-not-pair", "term-without-coefficient", "fractional-exponent", "short-exponents"])
+def test_nakayama_rejects_a_misshapen_input_file(tmp_path, capsys, payload, message):
+    f = tmp_path / "naka.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "nakayama", "--input", str(f), "--cap", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: {message}\n"
+
+
 def test_periods_subcommand_real(capsys):
     code, out, _ = run(capsys, "periods", "--case", "global-center",
                        "--h", "1.0")

@@ -1,5 +1,8 @@
 """The exact layers run without scipy; numeric layers load it on first use.
 
+The period and zero layers need scipy.special alone; scipy.integrate (and
+through it scipy.optimize) comes in with the first simulation.
+
 Each check runs in a fresh interpreter, because this test process has
 scipy loaded already.
 """
@@ -55,6 +58,44 @@ def test_exact_work_loads_no_scipy():
     assert out["exact"] == []
     # a real period loads scipy.special alone
     assert out["after_period"] == [True, False, False]
+
+
+ZERO_SCANS = """
+import contextlib, io, json, sys
+from fractions import Fraction
+
+import numpy as np
+
+from raylien import cli
+from raylien.elliptic import periods_real
+from raylien.forms import EIGHT_EXTERIOR, GLOBAL_CENTER
+from raylien.zeros import VElement, count_zeros_real, scan_grid
+
+flip = count_zeros_real(VElement.from_coeffs([], [-2, 3, -1], GLOBAL_CENTER))
+# I2 + q I0 with a double zero on a scan node: the tangency probe runs
+hs = scan_grid(EIGHT_EXTERIOR, 200)
+h0 = float(hs[np.searchsorted(hs, 1.3)])
+pv = periods_real(EIGHT_EXTERIOR, h0, 1e-13)
+q1 = Fraction(-(pv.J2 * pv.I0 - pv.I2 * pv.J0) / pv.I0**2)
+tangent = count_zeros_real(VElement.from_coeffs([1], [Fraction(-pv.I2 / pv.I0) - q1 * Fraction(h0), q1],
+                                                EIGHT_EXTERIOR))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.dispatch(["zeros", "--case", "global-center", "--p=1,0,0", "--q=-2,3,-1"]),
+             cli.dispatch(["zeros", "--case", "eight-exterior", "--random", "20", "--seed", "7"])]
+print(json.dumps({"flip": flip.count, "tangent": tangent.notes, "codes": codes,
+                  "loaded": [m in sys.modules for m in
+                             ("scipy.special", "scipy.optimize", "scipy.integrate")]}))
+"""
+
+
+def test_zero_scans_load_scipy_special_alone():
+    """Brent's method is the package's own, so the real scan and `raylien
+    zeros` run without scipy.optimize (and so without scipy.linalg)."""
+    out = run_fresh(ZERO_SCANS)
+    assert out["flip"] == 2
+    assert "multiplicity-2 candidate" in out["tangent"] or "near-tangency" in out["tangent"]
+    assert out["codes"] == [0, 0]
+    assert out["loaded"] == [True, False, False]
 
 
 FIRST_RETURNS_FROM_THREADS = """

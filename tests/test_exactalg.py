@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,19 @@ def test_str_output_is_pinned():
         },
     )
     assert str(m) == "3/4*l2*l5^2 + l3^3 - 1/2*l1 - l6 + 7"
+
+
+@pytest.mark.parametrize("exponents", [(0.5, 1), (1, 2.0), (F(1), 0), ("1", 0)], ids=str)
+def test_non_integer_exponents_are_rejected(exponents):
+    # int() would truncate (0.5, 1) to y
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        PolyXY({exponents: 1})
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        MultiPoly(2, {exponents: 1})
+
+
+def test_integer_exponents_of_any_int_type_are_accepted():
+    assert PolyXY({(np.int64(1), np.int32(1)): 2}) == PolyXY.monomial(1, 1, 2)
 
 
 def test_polyxy_monomial_product_and_diff():

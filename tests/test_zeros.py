@@ -91,6 +91,111 @@ def test_brent_refinement_work_per_zero(monkeypatch):
         count_zeros_real(ve([], [-2, 3, -1], GLOBAL_CENTER), refine_tol=1e-4)
 
 
+# -- Brent's method against scipy's brentq ------------------------------------
+
+_BRENT_FAMILIES = (
+    lambda c, x: (((c[0] * x + c[1]) * x + c[2]) * x + c[3]) * x + c[4],
+    lambda c, x: math.sin(c[0] * x) + c[1] * x + c[2],
+    lambda c, x: math.exp(0.3 * c[0] * x) + c[1] * x * x - c[2],
+    lambda c, x: math.atan(c[0] * (x - c[1])) * math.cos(c[2] * x) + c[3] * 1e-3,
+)
+
+
+def _recorded(f):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.integers(0, len(_BRENT_FAMILIES) - 1),
+    c=st.lists(st.floats(-5, 5, allow_subnormal=False), min_size=5, max_size=5),
+    ends=st.lists(st.floats(-50, 50, allow_subnormal=False), min_size=2, max_size=2, unique=True),
+    xtol_rel=st.sampled_from([zeros._XTOL_REL, 1e-9]),
+)
+def test_brent_is_scipy_brentq_bit_for_bit(family, c, ends, xtol_rel):
+    """The same iterates and the same root as scipy's brentq, on sign-changing
+    brackets of polynomials and transcendental functions."""
+    a, b = sorted(ends)
+    g = _BRENT_FAMILIES[family]
+    ga, gb = g(c, a), g(c, b)
+    assume(ga != gb)
+    # shifted by the mean of the end values, so the ends change sign
+    shift = 0.5 * (ga + gb)
+
+    def f(x):
+        return g(c, x) - shift
+
+    xtol = xtol_rel * max(1.0, abs(a), abs(b))
+    ours, ours_xs = _recorded(f)
+    theirs, theirs_xs = _recorded(f)
+    z = zeros._brent(ours, a, b, f(a), f(b), xtol)
+    ref = brentq(theirs, a, b, xtol=xtol)
+    assert type(z) is float
+    assert struct.pack("<d", z) == struct.pack("<d", ref)
+    # scipy evaluates the ends first; _brent takes them from the caller
+    assert theirs_xs[:2] == [a, b]
+    assert ours_xs == theirs_xs[2:]
+
+
+def test_brent_returns_an_exact_zero_at_either_end():
+    def f(x):
+        raise AssertionError("an end that is a zero needs no evaluation")
+
+    assert zeros._brent(f, 1.0, 2.0, 0.0, 3.0, 1e-10) == 1.0
+    assert zeros._brent(f, 1.0, 2.0, -3.0, -0.0, 1e-10) == 2.0
+    # a zero at the far end is found before the signs are compared
+    assert zeros._brent(f, 1.0, 2.0, 5.0, 0.0, 1e-10) == brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+def test_brent_rejects_ends_of_the_same_sign():
+    with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have different signs"):
+        zeros._brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-10)
+    with pytest.raises(ValueError, match="different signs"):
+        zeros._brent(lambda x: x, 1.0, 2.0, -1.0, -2.0, 1e-10)
+
+
+def test_brent_rejects_a_nan_value_naming_x():
+    def f(x):
+        return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+    with pytest.raises(ValueError) as ours:
+        zeros._brent(f, 0.0, 1.0, -0.5, 0.5, 1e-10)
+    with pytest.raises(ValueError) as theirs:
+        brentq(f, 0.0, 1.0, xtol=1e-10)
+    assert str(ours.value) == str(theirs.value)
+    assert "x=0.5 is NaN" in str(ours.value)
+    with pytest.raises(ValueError, match="x=0.0 is NaN"):
+        zeros._brent(f, 0.0, 1.0, math.nan, 0.5, 1e-10)
+
+
+def test_brent_raises_when_maxiter_is_too_small():
+    def f(x):
+        return math.exp(x) - 2.0
+
+    with pytest.raises(RuntimeError) as ours:
+        zeros._brent(f, 0.0, 5.0, f(0.0), f(5.0), 1e-12, maxiter=2)
+    with pytest.raises(RuntimeError) as theirs:
+        brentq(f, 0.0, 5.0, xtol=1e-12, maxiter=2)
+    assert str(ours.value) == str(theirs.value) == "Failed to converge after 2 iterations."
+    assert zeros._brent(f, 0.0, 5.0, f(0.0), f(5.0), 1e-12) == brentq(f, 0.0, 5.0, xtol=1e-12)
+
+
+def test_brent_lets_an_exception_from_f_propagate():
+    from raylien.simulate import EscapeError
+
+    def f(x):
+        raise EscapeError(f"no return from x0={x}")
+
+    with pytest.raises(EscapeError, match="x0=0.5"):
+        zeros._brent(f, 0.0, 1.0, -1.0, 1.0, 1e-10)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_a_non_finite_tol_does_not_certify(tol):
     # with tol = nan or inf no rounding check or tangency probe would fire
